@@ -12,29 +12,32 @@ expensive products of a merge run:
   list of one analysis group (the proven byte-identical checkpoint
   representation), keyed by the sorted member fingerprints.
 
-Keys extend the checkpoint's two-level content hashing: every key mixes
-the netlist fingerprint, the result-affecting merge options
+Keys come from :mod:`repro.store`: every key mixes the netlist
+fingerprint, the result-affecting merge options
 (:meth:`~repro.core.merger.MergeOptions.result_fingerprint`) and the
 member modes' canonical SDC text — so editing one mode re-scans only
 its pairs and re-merges only its clique, and a semantically identical
-rewrite (comments, whitespace) still hits.
+rewrite (comments, whitespace) still hits.  A group key doubles as the
+merge checkpoint's per-group staleness hash.
 
 Robustness contract (the headline):
 
 * every entry is one JSON file carrying a schema version and a
-  self-checksum (the checkpoint's crc), written atomically — temp file,
-  ``fsync``, ``os.replace``, directory ``fsync`` — so a torn write can
-  never shadow good bytes with garbage that parses;
+  self-checksum (:func:`~repro.store.record_crc`), written with
+  :func:`~repro.store.atomic_write` — so a torn write can never shadow
+  good bytes with garbage that parses;
 * every read re-verifies kind/version/key/crc; any mismatch moves the
   entry to ``<root>/quarantine/`` (``CAC002``, ``cache.quarantined``)
   and the caller recomputes — a fully corrupted or version-skewed store
   degrades to an uncached run, never a crash and never a byte different
   from cold;
-* writes go through an advisory file lock with stale-owner detection
-  (owner pid + boot-id probe): a lock left by a ``kill -9``'d process
-  is reclaimed (``CAC003``), a lock held by a *live* process degrades
-  this run to skipping its writes after a bounded wait (``CAC004``) —
-  reads never need the lock (atomic renames make them safe);
+* writes go through a kernel ``flock`` on ``cache.lock``
+  (:class:`~repro.store.FileLock`), which excludes threads and
+  processes alike and dies with its owner: a lock file a ``kill -9``'d
+  owner left behind is taken over at once (``CAC003``), a lock held by
+  a *live* owner degrades this run to skipping its writes after a
+  bounded wait (``CAC004``) — reads never need the lock (atomic renames
+  make them safe);
 * a failing disk (``ENOSPC``/``OSError``) records ``CAC005`` per write
   and, after a few failures, disables the cache for the rest of the run
   (``CAC001`` "cache disabled, running uncached") — results are always
@@ -43,7 +46,7 @@ Robustness contract (the headline):
 Deterministic chaos (``REPRO_CHAOS``) drives the degradation paths in
 CI: ``cache-corrupt`` (a bad-crc entry lands on disk), ``cache-torn``
 (a truncated entry lands on disk, as if the writer died mid-write) and
-``cache-lockhold`` (the advisory lock behaves held by a live process).
+``cache-lockhold`` (the write lock behaves held by a live process).
 These kinds are ignored by the execution engine's
 :meth:`~repro.exec.chaos.ChaosPlan.strike`; the cache applies them at
 its own ``cache:store:*`` / ``cache:lock`` strike points.
@@ -60,20 +63,16 @@ import json
 import os
 import threading
 import time
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
-from repro.checkpoint import (
-    _record_crc,
-    content_hash,
-    mode_fingerprint,
-    netlist_fingerprint,
-)
 from repro.diagnostics import DiagnosticCollector, Severity
 from repro.exec.chaos import CACHE_FAULT_KINDS, ChaosPlan
 from repro.obs.explain import get_decisions
 from repro.obs.metrics import get_metrics
 from repro.obs.trace import get_tracer
+from repro.store import FileLock, atomic_write, record_crc
 
 #: Version of the cache entry layout.  Bump on any incompatible change;
 #: entries with a different version are quarantined, never guessed at.
@@ -89,121 +88,8 @@ STATS_KIND = "repro-cache-stats"
 SPACES = ("pair", "group")
 _SPACE_DIRS = {"pair": "pairs", "group": "groups"}
 
-#: Advisory write-lock file name inside the cache root.
+#: Write-lock file name inside the cache root.
 LOCK_NAME = "cache.lock"
-
-
-def _boot_id() -> str:
-    """This boot's identity, for cross-reboot stale-lock detection."""
-    try:
-        return Path("/proc/sys/kernel/random/boot_id") \
-            .read_text().strip()
-    except OSError:
-        return ""
-
-
-def _pid_alive(pid: int) -> bool:
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except (PermissionError, OSError):
-        return True
-    return True
-
-
-def _fsync_dir(path: Path) -> None:
-    """Make a rename durable; best-effort on filesystems without it."""
-    try:
-        fd = os.open(path, os.O_RDONLY)
-    except OSError:
-        return
-    try:
-        os.fsync(fd)
-    except OSError:
-        pass
-    finally:
-        os.close(fd)
-
-
-class CacheLock:
-    """Advisory file lock with stale-owner detection.
-
-    The lock file is created with ``O_CREAT | O_EXCL`` and holds the
-    owner's pid and boot id.  An owner is *stale* when its boot id
-    differs from ours (the machine rebooted) or its pid no longer
-    exists (``kill -9`` mid-write); stale locks are reclaimed.  A live
-    owner is waited on for ``timeout`` seconds, then the caller
-    degrades (the cache skips its writes — never blocks the merge).
-    """
-
-    def __init__(self, path: Union[str, Path]):
-        self.path = Path(path)
-        self._fd: Optional[int] = None
-        #: how the last acquire ended: "", "acquired", "takeover",
-        #: "contended"
-        self.last_outcome = ""
-
-    def _try_acquire(self) -> bool:
-        try:
-            fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            return False
-        payload = json.dumps({"pid": os.getpid(),
-                              "boot_id": _boot_id()}) + "\n"
-        os.write(fd, payload.encode("utf-8"))
-        self._fd = fd
-        return True
-
-    def _owner_stale(self) -> bool:
-        try:
-            owner = json.loads(self.path.read_text())
-        except (OSError, ValueError):
-            # Unreadable or torn lock payload: if it stays unreadable
-            # it is garbage from a dead writer; treat as stale.
-            return self.path.exists()
-        pid = owner.get("pid")
-        if not isinstance(pid, int):
-            return True
-        boot = owner.get("boot_id", "")
-        ours = _boot_id()
-        if boot and ours and boot != ours:
-            return True
-        return not _pid_alive(pid)
-
-    def acquire(self, timeout: float = 2.0) -> bool:
-        """True when the lock is held; False after a bounded wait."""
-        deadline = time.monotonic() + max(0.0, timeout)
-        took_over = False
-        while True:
-            if self._try_acquire():
-                self.last_outcome = "takeover" if took_over \
-                    else "acquired"
-                return True
-            if self._owner_stale():
-                try:
-                    os.unlink(self.path)
-                except OSError:
-                    pass
-                took_over = True
-                continue
-            if time.monotonic() >= deadline:
-                self.last_outcome = "contended"
-                return False
-            time.sleep(0.02)
-
-    def release(self) -> None:
-        if self._fd is None:
-            return
-        try:
-            os.close(self._fd)
-        except OSError:
-            pass
-        self._fd = None
-        try:
-            os.unlink(self.path)
-        except OSError:
-            pass
 
 
 class ResultCache:
@@ -283,30 +169,6 @@ class ResultCache:
             "root": str(self.root), "enabled": False,
             "reason": reason[:240]})
 
-    # ------------------------------------------------------------------
-    # keys
-    # ------------------------------------------------------------------
-    @staticmethod
-    def space(netlist, options) -> str:
-        """The key space one (netlist, merge-options) context hashes to.
-
-        Everything that can change a verdict or a merged mode's bytes —
-        except the member modes themselves — folds in here once, so
-        per-pair/per-group keys only add mode fingerprints.
-        """
-        return content_hash("cache-space", netlist_fingerprint(netlist),
-                            options.result_fingerprint())
-
-    @staticmethod
-    def pair_key(space: str, fp_a: str, fp_b: str) -> str:
-        """Unordered pair key: (A, B) and (B, A) are the same entry."""
-        return content_hash("pair", space, *sorted((fp_a, fp_b)))
-
-    @staticmethod
-    def group_key(space: str, fingerprints: Sequence[str]) -> str:
-        """Order-free group key over the sorted member fingerprints."""
-        return content_hash("group", space, *sorted(fingerprints))
-
     def _entry_path(self, space: str, key: str) -> Path:
         return self.root / _SPACE_DIRS[space] / f"{key}.json"
 
@@ -337,7 +199,7 @@ class ResultCache:
         entry = {"kind": CACHE_KIND,
                  "schema_version": CACHE_SCHEMA_VERSION,
                  "space": space, "key": key, "payload": payload}
-        entry["crc"] = _record_crc(entry)
+        entry["crc"] = record_crc(entry)
         return (json.dumps(entry, sort_keys=True,
                            separators=(",", ":")) + "\n").encode("utf-8")
 
@@ -364,7 +226,7 @@ class ResultCache:
                           f"{CACHE_SCHEMA_VERSION}")
             elif entry.get("key") != key or entry.get("space") != space:
                 reason = "entry key does not match its file name"
-            elif entry.get("crc") != _record_crc(entry):
+            elif entry.get("crc") != record_crc(entry):
                 reason = "checksum mismatch (corrupt entry)"
         if reason:
             self._quarantine(path, reason, label)
@@ -431,13 +293,7 @@ class ResultCache:
                 data = (json.dumps(entry, sort_keys=True,
                                    separators=(",", ":"))
                         + "\n").encode("utf-8")
-            tmp = path.with_name(f"{path.name}.tmp{os.getpid()}")
-            with open(tmp, "wb") as handle:
-                handle.write(data)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, path)
-            _fsync_dir(path.parent)
+            atomic_write(path, data)
         except OSError as exc:
             self._write_failed(label, exc)
             return
@@ -460,8 +316,56 @@ class ResultCache:
             self.disable(f"{failures} consecutive write failure(s), "
                          f"last: {exc}")
 
-    def _locked(self) -> "_LockScope":
-        return _LockScope(self)
+    @contextmanager
+    def _locked(self) -> Iterator[bool]:
+        """``with cache._locked() as held:`` — False means degrade, don't
+        block: the merge proceeds, this run just skips persisting."""
+        lock = self._acquire_lock() if self._enabled else None
+        try:
+            yield lock is not None
+        finally:
+            if lock is not None:
+                lock.release()
+
+    def _acquire_lock(self) -> Optional[FileLock]:
+        """The held write lock, or None after reporting why not."""
+        lock = FileLock(self.root / LOCK_NAME)
+        timeout = self.lock_timeout
+        if self._cache_fault("cache:lock") == "cache-lockhold":
+            # Behave exactly as if a live process held the lock for the
+            # whole bounded wait.
+            lock.last_outcome = "contended"
+            held = False
+        else:
+            try:
+                held = lock.acquire(timeout)
+            except OSError as exc:
+                self._write_failed("cache lock", exc)
+                return None
+        if held:
+            if lock.last_outcome == "takeover":
+                get_metrics().inc("cache.lock_takeovers")
+                if self.collector is not None:
+                    self.collector.report(
+                        "CAC003",
+                        f"stale cache lock reclaimed from a dead owner "
+                        f"at {lock.path}",
+                        severity=Severity.INFO, source=str(self.root))
+            return lock
+        get_metrics().inc("cache.lock_contention")
+        if self.collector is not None:
+            self.collector.report(
+                "CAC004",
+                f"cache lock at {lock.path} held by a live process "
+                f"after {timeout:.1f}s; skipping cache writes for "
+                f"this operation",
+                severity=Severity.WARNING, source=str(self.root))
+        ledger = get_decisions()
+        if ledger.enabled:
+            ledger.decide("cache.degraded", f"cache:{self.root}",
+                          verdict="contended",
+                          evidence=[f"lock held past {timeout:.1f}s"])
+        return None
 
     # ------------------------------------------------------------------
     # pair verdicts
@@ -715,7 +619,7 @@ class ResultCache:
     def flush_stats(self) -> None:
         """Fold this run's counters into ``<root>/stats.json``.
 
-        Read-modify-write under the advisory lock, written atomically;
+        Read-modify-write under the write lock, written atomically;
         a contended or failing flush is dropped silently — stats are
         advisory, results never depend on them.
         """
@@ -742,78 +646,16 @@ class ResultCache:
                       "schema_version": CACHE_SCHEMA_VERSION}
             for name in deltas:
                 merged[name] = int(stats.get(name, 0)) + deltas[name]
-            target = self.root / "stats.json"
-            tmp = target.with_name(f"stats.json.tmp{os.getpid()}")
             try:
-                tmp.write_text(json.dumps(merged, sort_keys=True,
-                                          indent=2) + "\n")
-                os.replace(tmp, target)
+                atomic_write(self.root / "stats.json",
+                             json.dumps(merged, sort_keys=True, indent=2)
+                             + "\n")
             except OSError:
                 pass
-
-
-class _LockScope:
-    """``with cache._locked() as held:`` — False means degrade, don't
-    block: the merge proceeds, this run just skips persisting."""
-
-    def __init__(self, cache: ResultCache):
-        self._cache = cache
-        self._lock: Optional[CacheLock] = None
-
-    def __enter__(self) -> bool:
-        cache = self._cache
-        if not cache._enabled:
-            return False
-        lock = CacheLock(cache.root / LOCK_NAME)
-        timeout = cache.lock_timeout
-        if cache._cache_fault("cache:lock") == "cache-lockhold":
-            # Behave exactly as if a live process held the lock for the
-            # whole bounded wait.
-            lock.last_outcome = "contended"
-            held = False
-        else:
-            try:
-                held = lock.acquire(timeout)
-            except OSError as exc:
-                cache._write_failed("cache lock", exc)
-                return False
-        if held:
-            self._lock = lock
-            if lock.last_outcome == "takeover":
-                get_metrics().inc("cache.lock_takeovers")
-                if cache.collector is not None:
-                    cache.collector.report(
-                        "CAC003",
-                        f"stale cache lock reclaimed from a dead owner "
-                        f"at {lock.path}",
-                        severity=Severity.INFO, source=str(cache.root))
-            return True
-        get_metrics().inc("cache.lock_contention")
-        if cache.collector is not None:
-            cache.collector.report(
-                "CAC004",
-                f"cache lock at {lock.path} held by a live process "
-                f"after {timeout:.1f}s; skipping cache writes for "
-                f"this operation",
-                severity=Severity.WARNING, source=str(cache.root))
-        ledger = get_decisions()
-        if ledger.enabled:
-            ledger.decide("cache.degraded", f"cache:{cache.root}",
-                          verdict="contended",
-                          evidence=[f"lock held past {timeout:.1f}s"])
-        return False
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if self._lock is not None:
-            self._lock.release()
-            self._lock = None
 
 
 __all__ = [
     "CACHE_KIND",
     "CACHE_SCHEMA_VERSION",
-    "CacheLock",
     "ResultCache",
-    "content_hash",
-    "mode_fingerprint",
 ]

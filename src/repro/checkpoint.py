@@ -17,9 +17,10 @@ Staleness is handled by content hashing at two granularities:
 * a **run-level hash** over the raw input files (CLI) or whatever the
   embedding flow passes as ``input_hash`` — a mismatch discards the
   whole checkpoint with an ``SGN008`` diagnostic;
-* a **group-level hash** over the netlist fingerprint, the canonical
-  SDC text of the group's modes and the merge options — so editing one
-  mode's SDC only invalidates the groups that contain it.
+* a **group-level hash** — the result cache's content group key
+  (:func:`repro.store.group_key`) over the netlist fingerprint, the
+  merge options and the canonical SDC text of the group's modes — so
+  editing one mode's SDC only invalidates the groups that contain it.
 
 A restored group replays exactly: the merged mode's SDC text, the JSON
 report record, runtimes, validation state and the diagnostics the group
@@ -29,18 +30,17 @@ byte-identical to an uninterrupted run's.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 from repro.diagnostics import Diagnostic, DiagnosticCollector, Severity
-from repro.netlist.netlist import Netlist
 from repro.obs.metrics import get_metrics
 from repro.sdc.mode import Mode
 from repro.sdc.parser import parse_mode
 from repro.sdc.writer import write_mode
+from repro.store import atomic_write, record_crc
 
 #: Version of the checkpoint file layout.  Bump on any incompatible
 #: change; files with a different version are discarded, never guessed at.
@@ -50,39 +50,6 @@ CHECKPOINT_SCHEMA_VERSION = 2
 
 #: ``kind`` field of the JSONL header line.
 CHECKPOINT_KIND = "repro-checkpoint"
-
-
-def _record_crc(record: dict) -> str:
-    """Self-checksum of one group record (computed without ``crc``)."""
-    body = {k: v for k, v in record.items() if k != "crc"}
-    canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
-
-
-def content_hash(*parts: str) -> str:
-    """Stable hex digest of any number of text fragments."""
-    digest = hashlib.sha256()
-    for part in parts:
-        digest.update(part.encode("utf-8", "replace"))
-        digest.update(b"\x00")
-    return digest.hexdigest()
-
-
-def netlist_fingerprint(netlist: Netlist) -> str:
-    """Content hash of a netlist via its canonical Verilog emission."""
-    from repro.netlist.verilog import write_verilog
-
-    return content_hash(write_verilog(netlist))
-
-
-def mode_fingerprint(mode: Mode) -> str:
-    """Content hash of one mode: its name plus canonical SDC text.
-
-    The canonical (header-free) emission means a semantically identical
-    rewrite — reordered comments, whitespace — fingerprints the same,
-    so checkpoint and result-cache entries survive cosmetic edits.
-    """
-    return content_hash(mode.name, write_mode(mode, header=False))
 
 
 def serialize_outcome(outcome) -> dict:
@@ -234,7 +201,7 @@ class MergeCheckpoint:
                 torn_at = lineno
                 break
             if not isinstance(record, dict) or "key" not in record \
-                    or record.get("crc") != _record_crc(record):
+                    or record.get("crc") != record_crc(record):
                 torn_at = lineno
                 break
             # Append wins: a resumed run re-records a stale group by
@@ -271,7 +238,7 @@ class MergeCheckpoint:
     def _record_line(self, key: str) -> str:
         record = dict(self.groups[key])
         record["key"] = key
-        record["crc"] = _record_crc(record)
+        record["crc"] = record_crc(record)
         return json.dumps(record, sort_keys=True)
 
     def save(self) -> None:
@@ -280,19 +247,14 @@ class MergeCheckpoint:
         The steady state appends only the records recorded since the
         last save and fsyncs — a crash can tear at most the final
         record, which :meth:`open` recovers from.  The first save after
-        a fresh/discarded/torn open rewrites the whole file atomically
-        (temp file + ``os.replace``) so stale bytes never shadow good
-        state.
+        a fresh/discarded/torn open rewrites the whole file with
+        :func:`~repro.store.atomic_write` so stale bytes never shadow
+        good state.
         """
         if self._rewrite:
-            tmp = self.path.with_name(self.path.name + ".tmp")
-            with open(tmp, "w", encoding="utf-8") as handle:
-                handle.write(self._header_line() + "\n")
-                for key in self.groups:
-                    handle.write(self._record_line(key) + "\n")
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, self.path)
+            lines = [self._header_line()]
+            lines.extend(self._record_line(key) for key in self.groups)
+            atomic_write(self.path, "\n".join(lines) + "\n")
             self._rewrite = False
         elif self._unsaved:
             with open(self.path, "a", encoding="utf-8") as handle:
@@ -311,21 +273,6 @@ class MergeCheckpoint:
             "path": str(self.path),
             "groups_saved": len(self.groups),
         })
-
-    # ------------------------------------------------------------------
-    # hashing
-    # ------------------------------------------------------------------
-    @staticmethod
-    def group_hash(netlist: Netlist, modes: Sequence[Mode],
-                   options) -> str:
-        """Content hash that invalidates a cached group when its inputs
-        (netlist, any member mode, or the merge tunables) change."""
-        parts = [netlist_fingerprint(netlist),
-                 options.result_fingerprint()]
-        for mode in modes:
-            parts.append(mode.name)
-            parts.append(write_mode(mode, header=False))
-        return content_hash(*parts)
 
     # ------------------------------------------------------------------
     # record / restore

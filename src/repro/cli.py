@@ -247,7 +247,8 @@ def cmd_merge(args: argparse.Namespace, policy: DegradationPolicy,
     )
     checkpoint = None
     if args.checkpoint:
-        from repro.checkpoint import MergeCheckpoint, content_hash
+        from repro.checkpoint import MergeCheckpoint
+        from repro.store import content_hash
 
         texts = [_read_text(args.netlist, collector)]
         texts.extend(_read_text(path, collector) for path in args.sdc)

@@ -14,6 +14,7 @@ small").
 from __future__ import annotations
 
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
@@ -49,6 +50,7 @@ from repro.obs.metrics import get_metrics
 from repro.obs.profile import get_profiler
 from repro.obs.trace import get_tracer
 from repro.sdc.mode import Mode
+from repro.store import group_key, key_space, mode_fingerprint, pair_key
 from repro.timing.clocks import ClockPropagation
 
 
@@ -252,13 +254,11 @@ def build_mergeability_graph(netlist: Netlist, modes: Sequence[Mode],
         pair_keys: Dict[Tuple[int, int], str] = {}
         pair_labels: Dict[Tuple[int, int], str] = {}
         if cache is not None and cache.enabled and pairs:
-            from repro.checkpoint import mode_fingerprint
-
-            space = cache.space(netlist, options or MergeOptions())
+            space = key_space(netlist, options or MergeOptions())
             fingerprints = [mode_fingerprint(m) for m in mode_list]
             items = []
             for i, j in pairs:
-                pair_keys[(i, j)] = cache.pair_key(
+                pair_keys[(i, j)] = pair_key(
                     space, fingerprints[i], fingerprints[j])
                 pair_labels[(i, j)] = pair_subject(
                     mode_list[i].name, mode_list[j].name)
@@ -579,6 +579,25 @@ def _group_task(names):
     return bundle
 
 
+def _fold_bundle(bundle: dict) -> None:
+    """Fold a worker bundle's observability into the parent's stack:
+    decisions grafted under the current frame (span names preserved),
+    metrics, profile and flight-recorder payloads merged."""
+    ledger = get_decisions()
+    if ledger.enabled:
+        ledger.graft(bundle["decisions"])
+    metrics = get_metrics()
+    if metrics.enabled and bundle["metrics"]:
+        metrics.merge_payload(bundle["metrics"])
+    profiler = get_profiler()
+    if profiler.enabled and bundle.get("profile"):
+        profiler.merge_payload(bundle["profile"])
+    if bundle.get("blackbox"):
+        from repro.obs.blackbox import get_blackbox
+
+        get_blackbox().merge_payload(bundle["blackbox"])
+
+
 def _group_payload_error(value) -> str:
     """Reject malformed worker bundles (corrupt-payload guard)."""
     if isinstance(value, dict) and "outcomes" in value:
@@ -816,50 +835,45 @@ def merge_all(netlist: Netlist, modes: Sequence[Mode],
     )
 
     from repro.checkpoint import MergeCheckpoint as _Checkpoint
-    from repro.checkpoint import mode_fingerprint, serialize_outcome
+    from repro.checkpoint import serialize_outcome
 
     tracer = get_tracer()
     metrics = get_metrics()
     with tracer.span("merge_all", groups=len(analysis.groups),
                      modes=len(list(modes))):
-        # Plan every analysis group up front (checkpoint lookups
-        # included), then flush results strictly in analysis order — the
-        # cursor only advances over a group whose work is done, so the
-        # outcome/diagnostic/decision sequence is identical at any job
-        # count and any completion order.
+        # Plan every analysis group up front (checkpoint and cache
+        # lookups included), then flush results strictly in analysis
+        # order — the cursor only advances over a group whose work is
+        # done, so the outcome/diagnostic/decision sequence is identical
+        # at any job count and any completion order.
         use_cache = cache is not None and cache.enabled
-        cache_space = ""
+        space = ""
         mode_fps: Dict[str, str] = {}
-        if use_cache:
-            cache_space = cache.space(netlist, group_opts)
+        if checkpoint is not None or use_cache:
+            # One content key per group serves both resume layers: the
+            # checkpoint's staleness hash and the cache's entry name.
+            space = key_space(netlist, group_opts)
             mode_fps = {name: mode_fingerprint(mode)
                         for name, mode in by_name.items()}
         plans: List[dict] = []
         for group in analysis.groups:
             names = list(group)
-            group_hash = ""
-            entry = None
-            if checkpoint is not None:
-                group_hash = checkpoint.group_hash(
-                    netlist, [by_name[n] for n in names], group_opts)
-                entry = checkpoint.lookup("+".join(names), group_hash)
-            cache_key = ""
-            cache_entry = None
-            if use_cache:
-                cache_key = cache.group_key(
-                    cache_space, [mode_fps[n] for n in names])
-                if entry is None:
-                    # The checkpoint already replays this group; only
-                    # consult the cross-run cache when it does not.
-                    cache_entry = cache.lookup_group(
-                        cache_key, group_subject(names), modes=names)
-            plans.append({"names": names, "key": "+".join(names),
-                          "hash": group_hash, "entry": entry,
-                          "cache_key": cache_key,
-                          "cache_entry": cache_entry,
+            key = "+".join(names)
+            group_hash = group_key(space, [mode_fps[n] for n in names]) \
+                if space else ""
+            entry = None if checkpoint is None \
+                else checkpoint.lookup(key, group_hash)
+            source = "checkpoint"
+            if entry is None and use_cache:
+                # The checkpoint already replays this group; only
+                # consult the cross-run cache when it does not.
+                entry = cache.lookup_group(group_hash, group_subject(names),
+                                           modes=names)
+                source = "cache"
+            plans.append({"names": names, "key": key, "hash": group_hash,
+                          "entry": entry, "source": source,
                           "outcome": None, "done": False})
-        pending = [plan for plan in plans
-                   if plan["entry"] is None and plan["cache_entry"] is None]
+        pending = [plan for plan in plans if plan["entry"] is None]
         state = {"cursor": 0, "diag_cursor": len(sink.diagnostics)}
         ckpt_state = {"down": False}
 
@@ -887,68 +901,71 @@ def merge_all(netlist: Netlist, modes: Sequence[Mode],
                     plan["key"], plan["hash"], outcomes_serialized,
                     diagnostics_serialized)
                 save_checkpoint()
-            if store_cache and use_cache and plan["cache_key"]:
+            if store_cache and use_cache:
                 cache.store_group(
-                    plan["cache_key"], group_subject(plan["names"]),
+                    plan["hash"], group_subject(plan["names"]),
                     outcomes_serialized, diagnostics_serialized)
 
-        def restore(plan: dict) -> None:
-            names = plan["names"]
-            entry = plan["entry"]
-            with tracer.span(f"group:{'+'.join(names)}", modes=names), \
-                    ledger.frame("merge.group", group_subject(names),
-                                 modes=names):
-                for stored in entry["outcomes"]:
-                    o_names, o_result, o_error, o_repaired = \
-                        checkpoint.restore_outcome(stored)
-                    run.outcomes.append(GroupOutcome(
-                        o_names, o_result, error=o_error,
-                        repaired=o_repaired, restored=True))
-                sink.extend(checkpoint.restore_diagnostics(entry))
-                sink.report(
-                    "SGN007",
-                    f"group {{{', '.join(names)}}} restored from "
-                    f"checkpoint",
-                    severity=Severity.INFO, source=plan["key"])
-                ledger.decide(
-                    "checkpoint.restore", group_subject(names),
-                    verdict="restored",
-                    evidence=[f"content hash {plan['hash'][:12]} "
-                              f"matched checkpoint"],
-                    modes=names)
-                if tracer.enabled:
-                    tracer.annotate(restored=True)
+        def replay(plan: dict, entry: dict, source: str) -> None:
+            """Rebuild one group's outcomes from a serialized entry.
 
-        def restore_cached(plan: dict) -> None:
-            """Replay a group from the cross-run result cache.
-
-            The ``cache.hit`` decision was recorded at lookup time;
-            here the restored outcomes get the same frame/span shape a
-            checkpoint restore does, plus a ``CAC006`` diagnostic, and
-            are recorded through into the open checkpoint so a
-            subsequent resume replays them without the cache.
+            ``source`` names where the entry came from, and only that
+            adds anything: a ``checkpoint`` replay reports ``SGN007``
+            and a ``checkpoint.restore`` decision; a ``cache`` replay
+            reports ``CAC006`` (its ``cache.hit`` decision was recorded
+            at lookup time); a ``worker`` entry is a ``jobs > 1`` bundle
+            whose observability payloads are folded in.  Cache and
+            worker entries are recorded through into the open
+            checkpoint, and worker entries into the cache.
             """
             names = plan["names"]
-            entry = plan["cache_entry"]
-            with tracer.span(f"group:{'+'.join(names)}", modes=names), \
-                    ledger.frame("merge.group", group_subject(names),
-                                 modes=names):
+            restored = source != "worker"
+            # A worker bundle carries its own merge.group frame.
+            frame = ledger.frame("merge.group", group_subject(names),
+                                 modes=names) if restored \
+                else nullcontext()
+            with tracer.span(f"group:{plan['key']}", modes=names), frame:
+                diagnostics = _Checkpoint.restore_diagnostics(entry)
+                if restored:
+                    sink.extend(diagnostics)
+                else:
+                    _fold_bundle(entry)
+                    # The worker already bridged its diagnostics into
+                    # its own ledger and metrics: re-adding them through
+                    # the collector would double-count.
+                    sink.diagnostics.extend(diagnostics)
                 for stored in entry["outcomes"]:
                     o_names, o_result, o_error, o_repaired = \
                         _Checkpoint.restore_outcome(stored)
                     run.outcomes.append(GroupOutcome(
                         o_names, o_result, error=o_error,
-                        repaired=o_repaired, restored=True))
-                sink.extend(_Checkpoint.restore_diagnostics(entry))
-                sink.report(
-                    "CAC006",
-                    f"group {{{', '.join(names)}}} restored from the "
-                    f"result cache",
-                    severity=Severity.INFO, source=plan["key"])
-                if tracer.enabled:
-                    tracer.annotate(restored=True, cached=True)
-            persist(plan, list(entry["outcomes"]),
-                    list(entry.get("diagnostics", [])), store_cache=False)
+                        repaired=o_repaired, restored=restored))
+                if source == "checkpoint":
+                    sink.report(
+                        "SGN007",
+                        f"group {{{', '.join(names)}}} restored from "
+                        f"checkpoint",
+                        severity=Severity.INFO, source=plan["key"])
+                    ledger.decide(
+                        "checkpoint.restore", group_subject(names),
+                        verdict="restored",
+                        evidence=[f"content hash {plan['hash'][:12]} "
+                                  f"matched checkpoint"],
+                        modes=names)
+                    if tracer.enabled:
+                        tracer.annotate(restored=True)
+                elif source == "cache":
+                    sink.report(
+                        "CAC006",
+                        f"group {{{', '.join(names)}}} restored from the "
+                        f"result cache",
+                        severity=Severity.INFO, source=plan["key"])
+                    if tracer.enabled:
+                        tracer.annotate(restored=True, cached=True)
+            if source != "checkpoint":
+                persist(plan, entry["outcomes"],
+                        entry.get("diagnostics", []),
+                        store_cache=not restored)
 
         def demote(plan: dict, task_outcome) -> List[GroupOutcome]:
             """A group whose engine task failed even after retries:
@@ -976,39 +993,8 @@ def merge_all(netlist: Netlist, modes: Sequence[Mode],
 
         def apply(plan: dict) -> None:
             task_outcome = plan["outcome"]
-            names, key = plan["names"], plan["key"]
             if jobs > 1 and task_outcome.ok:
-                # Graft the worker's bundle: decisions under the current
-                # frame (span names preserved), diagnostics appended raw
-                # (the worker already bridged them into its own ledger
-                # and metrics — re-adding would double-count), metrics
-                # folded, outcomes rebuilt from the checkpoint
-                # representation.
-                bundle = task_outcome.value
-                with tracer.span(f"group:{'+'.join(names)}",
-                                 modes=names):
-                    if ledger.enabled:
-                        ledger.graft(bundle["decisions"])
-                    sink.diagnostics.extend(
-                        Diagnostic.from_dict(record)
-                        for record in bundle["diagnostics"])
-                    if metrics.enabled and bundle["metrics"]:
-                        metrics.merge_payload(bundle["metrics"])
-                    profiler = get_profiler()
-                    if profiler.enabled and bundle.get("profile"):
-                        profiler.merge_payload(bundle["profile"])
-                    if bundle.get("blackbox"):
-                        from repro.obs.blackbox import get_blackbox
-
-                        get_blackbox().merge_payload(bundle["blackbox"])
-                    for stored in bundle["outcomes"]:
-                        o_names, o_result, o_error, o_repaired = \
-                            _Checkpoint.restore_outcome(stored)
-                        run.outcomes.append(GroupOutcome(
-                            o_names, o_result, error=o_error,
-                            repaired=o_repaired))
-                persist(plan, bundle["outcomes"], bundle["diagnostics"],
-                        store_cache=True)
+                replay(plan, task_outcome.value, "worker")
                 return
             if task_outcome.ok:
                 produced = list(task_outcome.value)
@@ -1029,9 +1015,7 @@ def merge_all(netlist: Netlist, modes: Sequence[Mode],
             while state["cursor"] < len(plans):
                 plan = plans[state["cursor"]]
                 if plan["entry"] is not None:
-                    restore(plan)
-                elif plan["cache_entry"] is not None:
-                    restore_cached(plan)
+                    replay(plan, plan["entry"], plan["source"])
                 elif plan["done"]:
                     apply(plan)
                 else:

@@ -265,7 +265,8 @@ class OracleBattery:
 
     def _oracle_checkpoint(self, case, netlist, modes, baseline
                            ) -> List[Violation]:
-        from repro.checkpoint import MergeCheckpoint, content_hash
+        from repro.checkpoint import MergeCheckpoint
+        from repro.store import content_hash
 
         base, _ = baseline
         input_hash = content_hash(case.netlist_text,

@@ -50,6 +50,7 @@ from contextlib import contextmanager
 from typing import Any, Dict, List, Optional
 
 from repro.obs.explain import NullDecisions
+from repro.store import atomic_write
 
 #: Version of the blackbox.json artifact.  Bump on incompatible layout
 #: changes; downstream tooling dispatches on this field.
@@ -395,7 +396,8 @@ class BlackboxRecorder(NullBlackbox):
 
     def flush(self, path, reason: Optional[dict] = None,
               metrics=None) -> bool:
-        """Atomically write ``blackbox.json`` (tmp + fsync + rename).
+        """Atomically write ``blackbox.json``
+        (:func:`~repro.store.atomic_write`).
 
         Crash-path code: failures are reported on stderr, never raised —
         the flight recorder must not mask the error it is documenting.
@@ -403,15 +405,9 @@ class BlackboxRecorder(NullBlackbox):
         try:
             payload = self.export(reason=reason, metrics=metrics)
             target = os.fspath(path)
-            directory = os.path.dirname(target) or "."
-            os.makedirs(directory, exist_ok=True)
-            tmp = target + f".tmp.{os.getpid()}"
-            with open(tmp, "w") as handle:
-                json.dump(payload, handle, indent=2, default=repr)
-                handle.write("\n")
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, target)
+            os.makedirs(os.path.dirname(target) or ".", exist_ok=True)
+            atomic_write(target, json.dumps(payload, indent=2,
+                                            default=repr) + "\n")
             return True
         except Exception as exc:  # noqa: BLE001 — crash path
             print(f"cannot write blackbox to {path}: {exc}",

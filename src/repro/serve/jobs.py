@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import threading
 import time
 from dataclasses import dataclass, field
@@ -38,6 +37,7 @@ from pathlib import Path
 from typing import Dict, List, Optional
 
 from repro.errors import AdmissionError
+from repro.store import atomic_write
 
 #: journal event -> state it moves the job to
 JOB_EVENTS: Dict[str, str] = {
@@ -243,10 +243,5 @@ def dump_payload(directory: Path, payload: dict) -> Path:
     """Durably write the submission inputs next to the job."""
     directory.mkdir(parents=True, exist_ok=True)
     target = directory / "input.json"
-    tmp = directory / "input.json.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload, sort_keys=True))
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, target)
+    atomic_write(target, json.dumps(payload, sort_keys=True))
     return target

@@ -19,7 +19,6 @@ running; a diagnostic is recorded).
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from pathlib import Path
@@ -28,6 +27,7 @@ from typing import Dict, List, Optional, Tuple, Union
 from repro.errors import ServeError
 from repro.exec.chaos import ChaosPlan
 from repro.obs.metrics import get_metrics
+from repro.store import record_crc
 
 JOURNAL_KIND = "repro-serve-journal"
 JOURNAL_SCHEMA_VERSION = 1
@@ -42,12 +42,6 @@ class JournalError(ServeError):
         super().__init__(f"journal write failed for {event!r}: {detail}")
         self.event = event
         self.detail = detail
-
-
-def _record_crc(record: dict) -> str:
-    payload = json.dumps({k: v for k, v in record.items() if k != "crc"},
-                         sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
 class JobJournal:
@@ -126,7 +120,7 @@ class JobJournal:
                     f"unsupported journal schema "
                     f"{record.get('schema_version')!r} in {self.path}")
             return record
-        if record.get("crc") != _record_crc(record):
+        if record.get("crc") != record_crc(record):
             return None
         return record
 
@@ -168,7 +162,7 @@ class JobJournal:
         record["event"] = event
         if job is not None:
             record["job"] = job
-        record["crc"] = _record_crc(record)
+        record["crc"] = record_crc(record)
         try:
             self._fh.write(json.dumps(record, sort_keys=True) + "\n")
             self._flush()

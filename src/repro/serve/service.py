@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
-from repro.checkpoint import MergeCheckpoint, content_hash
+from repro.checkpoint import MergeCheckpoint
 from repro.core.merger import MergeOptions
 from repro.diagnostics import (
     DegradationPolicy,
@@ -74,6 +74,7 @@ from repro.serve.jobs import (
 )
 from repro.serve.journal import JobJournal, JournalError
 from repro.serve.slo import SLOEngine
+from repro.store import content_hash
 
 
 @dataclass

@@ -142,7 +142,8 @@ KILLED_DRIVER = """\
 import os, signal, sys
 
 import repro.core.mergeability as mergeability
-from repro.checkpoint import MergeCheckpoint, content_hash
+from repro.checkpoint import MergeCheckpoint
+from repro.store import content_hash
 from repro.core.merger import MergeOptions
 from repro.netlist import read_verilog
 from repro.sdc import parse_mode

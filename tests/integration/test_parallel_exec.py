@@ -137,7 +137,8 @@ KILLED_PARALLEL_DRIVER = """\
 import json, os, signal, sys, time
 
 import repro.core.mergeability as mergeability
-from repro.checkpoint import MergeCheckpoint, content_hash
+from repro.checkpoint import MergeCheckpoint
+from repro.store import content_hash
 from repro.core.merger import MergeOptions
 from repro.netlist import read_verilog
 from repro.sdc import parse_mode

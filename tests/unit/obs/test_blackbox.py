@@ -20,6 +20,7 @@ from repro.obs.blackbox import (
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.validate import validate_blackbox
+from repro.store import TEMP_GLOB
 
 
 class TestRing:
@@ -168,7 +169,7 @@ class TestExportAndFlush:
                                               "detail": "SIGTERM"})
         payload = load_blackbox(target)
         assert payload["reason"]["kind"] == "signal"
-        assert not list(tmp_path.glob("**/*.tmp.*"))
+        assert not list(tmp_path.glob(f"**/{TEMP_GLOB}"))
 
     def test_flush_failure_reports_and_returns_false(self, tmp_path,
                                                      capsys):

@@ -13,19 +13,16 @@ import json
 import os
 import subprocess
 import sys
+import threading
 
 import pytest
 
-from repro.cache import (
-    CACHE_KIND,
-    CACHE_SCHEMA_VERSION,
-    CacheLock,
-    ResultCache,
-)
-from repro.checkpoint import mode_fingerprint
+from repro.cache import CACHE_KIND, CACHE_SCHEMA_VERSION, ResultCache
 from repro.diagnostics import DiagnosticCollector
 from repro.exec.chaos import ALL_FAULT_KINDS, CACHE_FAULT_KINDS, ChaosPlan
 from repro.sdc import parse_mode
+from repro.store import FileLock as CacheLock
+from repro.store import group_key, mode_fingerprint, pair_key, record_crc
 
 
 def open_cache(tmp_path, **kwargs):
@@ -42,12 +39,11 @@ def codes(cache):
 
 class TestKeys:
     def test_pair_key_is_unordered(self):
-        assert ResultCache.pair_key("s", "a", "b") \
-            == ResultCache.pair_key("s", "b", "a")
+        assert pair_key("s", "a", "b") == pair_key("s", "b", "a")
 
     def test_group_key_is_order_free(self):
-        assert ResultCache.group_key("s", ["a", "b", "c"]) \
-            == ResultCache.group_key("s", ["c", "a", "b"])
+        assert group_key("s", ["a", "b", "c"]) \
+            == group_key("s", ["c", "a", "b"])
 
     def test_mode_fingerprint_ignores_formatting(self):
         a = parse_mode("create_clock -name CK -period 10 [get_ports clk]\n",
@@ -68,7 +64,7 @@ class TestKeys:
 class TestRoundTrip:
     def test_pair_store_and_lookup(self, tmp_path):
         cache = open_cache(tmp_path)
-        key = ResultCache.pair_key("s", "fa", "fb")
+        key = pair_key("s", "fa", "fb")
         cache.store_pairs([(key, "pair:A,B", False, "blocked clock")])
         assert cache.lookup_pairs([(key, "pair:A,B")]) \
             == [(False, "blocked clock")]
@@ -77,7 +73,7 @@ class TestRoundTrip:
 
     def test_group_store_and_lookup(self, tmp_path):
         cache = open_cache(tmp_path)
-        key = ResultCache.group_key("s", ["fa", "fb"])
+        key = group_key("s", ["fa", "fb"])
         payload = {"outcomes": [{"mode_names": ["A", "B"]}],
                    "diagnostics": []}
         cache.store_group(key, "group:A+B", payload["outcomes"],
@@ -93,7 +89,7 @@ class TestRoundTrip:
 
     def test_identical_restore_is_skipped_not_rewritten(self, tmp_path):
         cache = open_cache(tmp_path)
-        key = ResultCache.pair_key("s", "fa", "fb")
+        key = pair_key("s", "fa", "fb")
         cache.store_pairs([(key, "pair:A,B", True, "")])
         cache.store_pairs([(key, "pair:A,B", True, "")])
         assert cache.counters["stores"] == 1
@@ -101,20 +97,19 @@ class TestRoundTrip:
 
     def test_entries_carry_schema_version_and_valid_crc(self, tmp_path):
         cache = open_cache(tmp_path)
-        key = ResultCache.pair_key("s", "fa", "fb")
+        key = pair_key("s", "fa", "fb")
         cache.store_pairs([(key, "pair:A,B", True, "")])
         entry = json.loads(
             (tmp_path / "cache" / "pairs" / f"{key}.json").read_text())
         assert entry["kind"] == CACHE_KIND
         assert entry["schema_version"] == CACHE_SCHEMA_VERSION
         assert entry["key"] == key
-        from repro.checkpoint import _record_crc
-        assert entry["crc"] == _record_crc(entry)
+        assert entry["crc"] == record_crc(entry)
 
 
 class TestQuarantine:
     def store_one(self, cache):
-        key = ResultCache.pair_key("s", "fa", "fb")
+        key = pair_key("s", "fa", "fb")
         cache.store_pairs([(key, "pair:A,B", True, "")])
         return key, cache.root / "pairs" / f"{key}.json"
 
@@ -143,9 +138,8 @@ class TestQuarantine:
         key, path = self.store_one(cache)
         entry = json.loads(path.read_text())
         entry["schema_version"] = CACHE_SCHEMA_VERSION + 1
-        from repro.checkpoint import _record_crc
         entry.pop("crc")
-        entry["crc"] = _record_crc(entry)
+        entry["crc"] = record_crc(entry)
         path.write_text(json.dumps(entry))
         self.assert_quarantined(cache, key, path)
 
@@ -153,7 +147,7 @@ class TestQuarantine:
         # A valid entry under the wrong file name must not be trusted.
         cache = open_cache(tmp_path)
         key, path = self.store_one(cache)
-        other = ResultCache.pair_key("s", "fx", "fy")
+        other = pair_key("s", "fx", "fy")
         wrong = path.with_name(f"{other}.json")
         os.replace(path, wrong)
         assert cache.lookup_pairs([(other, "pair:X,Y")]) == [None]
@@ -163,7 +157,7 @@ class TestQuarantine:
     def test_verify_sweeps_and_counts(self, tmp_path):
         cache = open_cache(tmp_path)
         key, path = self.store_one(cache)
-        cache.store_group(ResultCache.group_key("s", ["fa"]), "group:A",
+        cache.store_group(group_key("s", ["fa"]), "group:A",
                           [{"mode_names": ["A"]}], [])
         path.write_text("garbage")
         report = cache.verify()
@@ -276,6 +270,64 @@ class TestDiskFailure:
         cache.store_pairs([("k", "pair:A,B", True, "")])
         # Nothing landed, so the lookup is an honest miss — not garbage.
         assert cache.lookup_pairs([("k", "pair:A,B")]) == [None]
+
+
+    def test_failed_writes_leave_no_temp_files(self, tmp_path,
+                                               monkeypatch):
+        cache = open_cache(tmp_path)
+        cache.store_pairs([("k0", "pair:A,B", True, "")])
+        monkeypatch.setattr(
+            "repro.cache.os.replace",
+            lambda *a, **k: (_ for _ in ()).throw(
+                OSError(errno.ENOSPC, "full")))
+        cache.store_pairs([("k1", "pair:A,C", True, "")])
+        cache.store_group("g1", "group:A+C", [], [])
+        cache.flush_stats()
+        monkeypatch.undo()
+        assert "CAC005" in codes(cache)
+        assert [p.name for p in (cache.root / "pairs").iterdir()] \
+            == ["k0.json"]
+        assert list((cache.root / "groups").iterdir()) == []
+        assert sorted(p.name for p in cache.root.iterdir()) \
+            == ["groups", "pairs"]
+
+
+class TestConcurrentWriters:
+    def test_threads_store_the_same_keys(self, tmp_path):
+        # Every round writes new bytes under the same keys, so no store
+        # is skipped as an identical re-store.
+        cache = open_cache(tmp_path)
+        pairs = [pair_key("s", "fa", f"f{index}") for index in range(8)]
+        groups = [group_key("s", ["fa", f"f{index}"]) for index in range(4)]
+
+        def writer(thread):
+            for rnd in range(10):
+                tag = f"thread {thread} round {rnd}"
+                cache.store_pairs([(key, f"pair:{key[:6]}", True, tag)
+                                   for key in pairs])
+                for key in groups:
+                    cache.store_group(key, f"group:{key[:6]}",
+                                      [{"mode_names": [tag]}], [])
+
+        threads = [threading.Thread(target=writer, args=(index,))
+                   for index in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not {"CAC003", "CAC005"} & set(codes(cache))
+        assert cache.enabled
+        for subdir, keys in (("pairs", pairs), ("groups", groups)):
+            assert sorted(p.name for p in (cache.root / subdir).iterdir()) \
+                == sorted(f"{key}.json" for key in keys)
+        assert None not in cache.lookup_pairs(
+            [(key, f"pair:{key[:6]}") for key in pairs])
 
 
 class TestChaosKinds:

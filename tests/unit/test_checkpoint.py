@@ -4,12 +4,7 @@ import json
 
 import pytest
 
-from repro.checkpoint import (
-    CHECKPOINT_SCHEMA_VERSION,
-    MergeCheckpoint,
-    content_hash,
-    netlist_fingerprint,
-)
+from repro.checkpoint import CHECKPOINT_SCHEMA_VERSION, MergeCheckpoint
 from repro.core import merge_all, merge_modes
 from repro.core.merger import MergeOptions
 from repro.diagnostics import (
@@ -19,6 +14,14 @@ from repro.diagnostics import (
     Severity,
 )
 from repro.sdc import parse_mode, write_mode
+from repro.store import (
+    TEMP_GLOB,
+    content_hash,
+    group_key,
+    key_space,
+    mode_fingerprint,
+    netlist_fingerprint,
+)
 
 MODE_A = """
 create_clock -name CK -period 10 [get_ports clk]
@@ -32,6 +35,12 @@ create_clock -name CK -period 10 [get_ports clk]
 
 def _modes():
     return [parse_mode(MODE_A, "A"), parse_mode(MODE_B, "B")]
+
+
+def _group_key(netlist, modes, options):
+    """The per-group hash ``merge_all`` checkpoints (the cache's key)."""
+    return group_key(key_space(netlist, options),
+                     [mode_fingerprint(mode) for mode in modes])
 
 
 class TestContentHash:
@@ -97,7 +106,7 @@ class TestOpen:
         path = tmp_path / "run.ckpt"
         checkpoint = MergeCheckpoint(path)
         checkpoint.save()
-        assert not path.with_name(path.name + ".tmp").exists()
+        assert not list(tmp_path.glob(TEMP_GLOB))
         assert json.loads(path.read_text())["schema_version"] == \
             CHECKPOINT_SCHEMA_VERSION
 
@@ -105,23 +114,21 @@ class TestOpen:
 class TestGroupHash:
     def test_sensitive_to_mode_text(self, pipeline_netlist):
         opts = MergeOptions()
-        first = MergeCheckpoint.group_hash(pipeline_netlist, _modes(), opts)
+        first = _group_key(pipeline_netlist, _modes(), opts)
         changed = [parse_mode(MODE_A + "set_false_path -from rA/CP\n", "A"),
                    parse_mode(MODE_B, "B")]
-        assert first != MergeCheckpoint.group_hash(pipeline_netlist,
-                                                   changed, opts)
+        assert first != _group_key(pipeline_netlist, changed, opts)
 
     def test_sensitive_to_options(self, pipeline_netlist):
-        first = MergeCheckpoint.group_hash(pipeline_netlist, _modes(),
-                                           MergeOptions())
-        second = MergeCheckpoint.group_hash(
-            pipeline_netlist, _modes(), MergeOptions(budget_seconds=5.0))
+        first = _group_key(pipeline_netlist, _modes(), MergeOptions())
+        second = _group_key(pipeline_netlist, _modes(),
+                            MergeOptions(budget_seconds=5.0))
         assert first != second
 
     def test_stable_across_reparses(self, pipeline_netlist):
         opts = MergeOptions()
-        assert MergeCheckpoint.group_hash(pipeline_netlist, _modes(), opts) \
-            == MergeCheckpoint.group_hash(pipeline_netlist, _modes(), opts)
+        assert _group_key(pipeline_netlist, _modes(), opts) \
+            == _group_key(pipeline_netlist, _modes(), opts)
 
 
 class TestRecordRestore:
@@ -192,3 +199,76 @@ class TestMergeAllIntegration:
         resumed = merge_all(pipeline_netlist, edited, MergeOptions(),
                             checkpoint=MergeCheckpoint.open(path))
         assert resumed.restored_count == 0
+
+
+MODE_C = """
+create_clock -name CK -period 10 [get_ports clk]
+set_input_transition 0.5 [get_ports in1]
+"""
+
+
+def _three_modes():
+    # A and B merge; C's input transition keeps it in a group of its own.
+    return _modes() + [parse_mode(MODE_C, "C")]
+
+
+def _sdc(run):
+    return [write_mode(mode) for mode in run.merged_modes()]
+
+
+class TestTornTail:
+    def torn_checkpoint(self, netlist, path):
+        """A real two-group checkpoint whose last record was cut
+        mid-line, as a crash mid-append leaves it."""
+        merge_all(netlist, _three_modes(), MergeOptions(),
+                  checkpoint=MergeCheckpoint(path))
+        lines = path.read_text().splitlines(keepends=True)
+        assert len(lines) == 3  # header + one record per group
+        torn = lines[2][:len(lines[2]) // 2]
+        path.write_text("".join(lines[:2]) + torn)
+        return torn
+
+    def test_open_reports_sgn009_with_recovered_count(
+            self, pipeline_netlist, tmp_path):
+        path = tmp_path / "run.ckpt"
+        self.torn_checkpoint(pipeline_netlist, path)
+        collector = DiagnosticCollector()
+        checkpoint = MergeCheckpoint.open(path, collector=collector)
+        assert [d.code for d in collector] == ["SGN009"]
+        assert "recovered 1 group(s)" in collector.diagnostics[0].message
+        assert list(checkpoint.groups) == ["A+B"]
+
+    def test_next_save_drops_the_torn_bytes(self, pipeline_netlist,
+                                            tmp_path):
+        path = tmp_path / "run.ckpt"
+        torn = self.torn_checkpoint(pipeline_netlist, path)
+        checkpoint = MergeCheckpoint.open(path)
+        checkpoint.save()
+        text = path.read_text()
+        assert torn not in text
+        assert not list(tmp_path.glob(TEMP_GLOB))
+        collector = DiagnosticCollector()
+        reopened = MergeCheckpoint.open(path, collector=collector)
+        assert collector.diagnostics == []
+        assert reopened.groups == checkpoint.groups
+
+    def test_resumed_run_is_byte_identical(self, pipeline_netlist,
+                                           tmp_path):
+        uninterrupted = merge_all(pipeline_netlist, _three_modes(),
+                                  MergeOptions())
+        path = tmp_path / "run.ckpt"
+        self.torn_checkpoint(pipeline_netlist, path)
+        collector = DiagnosticCollector()
+        resumed = merge_all(
+            pipeline_netlist, _three_modes(), MergeOptions(),
+            collector=collector,
+            checkpoint=MergeCheckpoint.open(path, collector=collector))
+        assert [d.code for d in collector][:2] == ["SGN009", "SGN007"]
+        assert [o.restored for o in resumed.outcomes] == [True, False]
+        assert _sdc(resumed) == _sdc(uninterrupted)
+        # The torn group was recomputed and saved: a second resume
+        # replays every group.
+        again = merge_all(pipeline_netlist, _three_modes(), MergeOptions(),
+                          checkpoint=MergeCheckpoint.open(path))
+        assert again.restored_count == 2
+        assert _sdc(again) == _sdc(uninterrupted)
