@@ -16,6 +16,7 @@ Two numbers back the execution engine's design claims:
 """
 
 import time
+from functools import partial
 
 import pytest
 
@@ -36,9 +37,6 @@ def scan_workload():
     options = MergeOptions()
     pairs = [(i, j) for i in range(len(modes))
              for j in range(i + 1, len(modes))]
-    # The scan task function reads fork-inherited worker state; set it
-    # up in this process so the bare loop and jobs=1 runs see it too.
-    mergeability._pool_init(workload.netlist, modes, options)
     return workload, modes, options, pairs
 
 
@@ -51,21 +49,27 @@ def _best_of(fn, repeats=3):
     return best
 
 
+def _scan_task(workload, modes, options):
+    """The scan's own task function, bound to this design."""
+    return partial(mergeability._scan_pair, workload.netlist, modes,
+                   options)
+
+
 def _engine_run(jobs, workload, modes, options, pairs):
     supervisor = Supervisor(SupervisorConfig(jobs=jobs,
                                              use_env_chaos=False))
     return supervisor.run(
-        mergeability._pool_check, [(pair,) for pair in pairs],
-        initializer=mergeability._pool_init,
-        initargs=(workload.netlist, modes, options),
+        _scan_task(workload, modes, options), [(pair,) for pair in pairs],
         label="bench.scan")
 
 
 def test_supervision_overhead_bound(benchmark, scan_workload):
     workload, modes, options, pairs = scan_workload
 
+    task = _scan_task(workload, modes, options)
+
     def bare():
-        return [mergeability._pool_check(pair) for pair in pairs]
+        return [task(pair) for pair in pairs]
 
     def supervised():
         return _engine_run(1, workload, modes, options, pairs)

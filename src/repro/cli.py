@@ -94,9 +94,10 @@ artifact::
 
 ``fuzz`` runs the property-based differential fuzzing harness
 (``repro.fuzz``): deterministic adversarial workloads from ``--seed``,
-five metamorphic invariant oracles (Section 2 equivalence under the
+six metamorphic invariant oracles (Section 2 equivalence under the
 sign-off guard, mode-permutation invariance, ``--jobs`` byte-identity,
-cache byte-identity, checkpoint kill/resume identity), automatic
+cache byte-identity, checkpoint kill/resume identity, staged scan
+verdicts equal to the full mock merge's), automatic
 delta-debug minimization and a signature-deduped failure corpus of
 self-contained repro bundles::
 
@@ -879,7 +880,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fuzz = sub.add_parser(
         "fuzz",
         help="run the differential fuzzing harness (adversarial "
-             "workloads x five metamorphic invariants)")
+             "workloads x six metamorphic invariants)")
     p_fuzz.add_argument("--seed", type=int, default=0, metavar="S",
                         help="root seed; the same seed generates the "
                              "same workloads and verdicts (default 0)")

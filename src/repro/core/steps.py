@@ -60,10 +60,6 @@ class StepReport:
                 f"{len(self.conflicts)} conflicts")
 
 
-#: Process-wide cache of bound individual modes (see bound_individuals).
-_BOUND_MODE_CACHE: Dict[Tuple[int, int], object] = {}
-
-
 class MergeContext:
     """State shared by all merge steps for one merge group."""
 
@@ -90,23 +86,22 @@ class MergeContext:
     def bound_individuals(self):
         """Bound (resolved) views of the individual modes.
 
-        Cached per (netlist, mode) pair process-wide: individual modes are
-        never mutated by the merge pipeline, and the mergeability analysis
-        re-binds the same modes for every pairwise mock merge.
+        Kept on the timing graph per mode object: individual modes are
+        never mutated by the merge pipeline, and the mergeability
+        analysis re-binds the same modes for every pairwise mock merge.
+        A mode that grew since it was bound is bound again.
         """
         if not hasattr(self, "_bound_individuals"):
             from repro.timing.context import BoundMode
 
             bound = []
             for mode in self.modes:
-                key = (id(self.netlist), id(mode))
-                cached = _BOUND_MODE_CACHE.get(key)
-                if cached is None or cached.mode is not mode \
-                        or cached.netlist is not self.netlist \
-                        or len(cached.mode) != len(mode):
-                    cached = BoundMode(self.netlist, mode, self.graph)
-                    _BOUND_MODE_CACHE[key] = cached
-                bound.append(cached)
+                entry = self.graph.bound_modes.get(mode)
+                if entry is None or entry[0] != len(mode):
+                    entry = (len(mode),
+                             BoundMode(self.netlist, mode, self.graph))
+                    self.graph.bound_modes[mode] = entry
+                bound.append(entry[1])
             self._bound_individuals = bound
         return self._bound_individuals
 

@@ -20,7 +20,11 @@ adversarial generated workloads:
 ``checkpoint``
     killing a run mid-checkpoint (simulated by truncating the
     checkpoint journal) and resuming reproduces the uninterrupted
-    run's bytes.
+    run's bytes;
+``scan``
+    for every mode pair, the staged mock merge of the mergeability
+    scan (which stops at the first conflict) gives the verdict and
+    reason of the full mock merge.
 
 Layout: :mod:`~repro.fuzz.generator` derives deterministic adversarial
 workloads (the ``repro.workloads`` families plus an SDC token mutator)
@@ -44,9 +48,9 @@ BUNDLE_KIND = "repro-fuzz-bundle"
 #: Schema version of both artifacts (bumped together).
 FUZZ_SCHEMA_VERSION = 1
 
-#: The five metamorphic invariants, in battery order.
+#: The six metamorphic invariants, in battery order.
 ORACLE_NAMES = ("equivalence", "permutation", "jobs", "cache",
-                "checkpoint")
+                "checkpoint", "scan")
 
 #: Test-only mutation hook: set to an oracle name to deterministically
 #: corrupt that oracle's observed output, so the full find->shrink->

@@ -32,18 +32,39 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.core.equivalence import check_mode_equivalence
 from repro.core.merger import MergeOptions
-from repro.core.mergeability import merge_all
+from repro.core.mergeability import (
+    _preliminary_merge,
+    clock_blocking_reason,
+    merge_all,
+)
 from repro.diagnostics import DegradationPolicy, DiagnosticCollector
 from repro.errors import ReproError
 from repro.fuzz import BREAK_ENV, ORACLE_NAMES
 from repro.fuzz.generator import FuzzCase
 from repro.netlist import read_verilog
+from repro.obs.explain import muted
 from repro.sdc.parser import parse_mode
 from repro.sdc.writer import write_mode
 from repro.workloads.seeding import stable_rng
 
 #: Marker line the BREAK_ENV hook appends to a merged text.
 _BREAK_MARK = "# fuzz-break"
+
+
+def full_mock_merge(netlist, mode_a, mode_b, options: MergeOptions
+                    ) -> Tuple[bool, str, bool]:
+    """The unstaged reference for one pair: every Section 3.1 step, then
+    the clock-blocking check.  Returns (mergeable?, reason, raised?)."""
+    with muted():
+        try:
+            context = _preliminary_merge(netlist, [mode_a, mode_b], options)
+        except Exception as exc:
+            return False, f"preliminary merge failed: {exc}", True
+        conflicts = context.all_conflicts()
+        if conflicts:
+            return False, str(conflicts[0]), False
+        blocked = clock_blocking_reason(context)
+    return blocked is None, blocked or "", False
 
 
 @dataclass(frozen=True)
@@ -92,7 +113,7 @@ MergedTexts = Dict[FrozenSet[str], str]
 
 
 class OracleBattery:
-    """Runs the five invariant oracles over one case at a time."""
+    """Runs the six invariant oracles over one case at a time."""
 
     def __init__(self, jobs: int = 2):
         self.jobs = max(2, jobs)
@@ -195,7 +216,7 @@ class OracleBattery:
                     tuple(sorted(key))))
         return violations
 
-    # -- the five oracles ----------------------------------------------
+    # -- the six oracles -----------------------------------------------
     def _oracle_equivalence(self, case, netlist, modes, baseline
                             ) -> List[Violation]:
         _, run = baseline
@@ -290,3 +311,28 @@ class OracleBattery:
         return self._diff("checkpoint", base,
                           self._broken("checkpoint", resumed),
                           "after checkpoint kill/resume")
+
+    def _oracle_scan(self, case, netlist, modes, baseline
+                     ) -> List[Violation]:
+        """The baseline run's staged scan against the full mock merge."""
+        analysis = baseline[1].analysis
+        options = self._options()
+        broken = os.environ.get(BREAK_ENV, "") == "scan"
+        violations: List[Violation] = []
+        for index, mode_a in enumerate(modes):
+            for mode_b in modes[index + 1:]:
+                ok = analysis.mergeable(mode_a.name, mode_b.name)
+                reason = analysis.reason(mode_a.name, mode_b.name)
+                if broken:
+                    ok, broken = not ok, False
+                full_ok, full_reason, raised = full_mock_merge(
+                    netlist, mode_a, mode_b, options)
+                if ok == full_ok and (raised or reason == full_reason):
+                    continue
+                violations.append(Violation(
+                    "scan",
+                    f"pair {mode_a.name}/{mode_b.name}: staged scan says "
+                    f"{ok} ({reason!r}), full mock merge says {full_ok} "
+                    f"({full_reason!r})"[:500],
+                    tuple(sorted((mode_a.name, mode_b.name)))))
+        return violations

@@ -13,7 +13,16 @@ are what SDC object queries (``get_pins``, ``get_ports``) match against.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Tuple,
+    TypeVar,
+)
 
 from repro.errors import ConnectivityError, DuplicateObjectError
 from repro.netlist.cells import (
@@ -22,6 +31,8 @@ from repro.netlist.cells import (
     GENERIC_LIB,
     PinDirection,
 )
+
+T = TypeVar("T")
 
 
 class Port:
@@ -169,6 +180,25 @@ class Netlist:
         self._ports: Dict[str, Port] = {}
         self._instances: Dict[str, Instance] = {}
         self._nets: Dict[str, Net] = {}
+        #: analysis views built from this netlist (the timing graph, the
+        #: clockless resolver): name -> (shape when built, view)
+        self._derived: Dict[str, Tuple[Tuple[int, int, int], object]] = {}
+
+    def derived(self, name: str, build: Callable[["Netlist"], T]) -> T:
+        """The view ``name`` of this netlist, built by ``build`` once.
+
+        Netlists are append-only, so a view is rebuilt when a port,
+        instance or net count changed since it was built (an O(1)
+        check).
+        The views live and die with the netlist: no process-wide cache
+        keeps a freed design's graph alive.
+        """
+        shape = (len(self._ports), len(self._instances), len(self._nets))
+        entry = self._derived.get(name)
+        if entry is None or entry[0] != shape:
+            entry = (shape, build(self))
+            self._derived[name] = entry
+        return entry[1]  # type: ignore[return-value]
 
     # ------------------------------------------------------------------
     # construction

@@ -215,28 +215,14 @@ def _stable_unique(names: List[str]) -> List[str]:
     return out
 
 
-#: Netlist-level resolver cache (no clock namespace); cf. build_graph.
-_RESOLVER_CACHE: Dict[int, "ObjectResolver"] = {}
-
-
 def resolver_for(netlist: Netlist) -> "ObjectResolver":
-    """A cached clockless resolver for ``netlist``.
+    """The clockless resolver of ``netlist``, built once and kept on it.
 
     Building a resolver sorts every object name in the design; callers
-    that only need design-object resolution (no clock namespace) should
-    share one instance per netlist.  The cache invalidates when the
-    design's object counts change (netlists are append-only).
+    that only need design-object resolution (no clock namespace) share
+    the one instance the netlist owns (see :meth:`Netlist.derived`).
     """
-    key = id(netlist)
-    cached = _RESOLVER_CACHE.get(key)
-    expected = (len(netlist.ports), len(netlist.instances),
-                len(netlist.nets))
-    if cached is None or cached.netlist is not netlist \
-            or (len(cached._port_names), len(cached._cell_names),
-                len(cached._net_names)) != expected:
-        cached = ObjectResolver(netlist)
-        _RESOLVER_CACHE[key] = cached
-    return cached
+    return netlist.derived("resolver", ObjectResolver)
 
 
 def _binary_contains(sorted_names: Sequence[str], name: str) -> bool:

@@ -67,8 +67,12 @@ def key_space(netlist, options) -> str:
 
 
 def pair_key(space: str, fp_a: str, fp_b: str) -> str:
-    """Unordered pair key: (A, B) and (B, A) are the same entry."""
-    return content_hash("pair", space, *sorted((fp_a, fp_b)))
+    """Unordered pair key: (A, B) and (B, A) are the same entry.
+
+    ``pair/2``: verdicts of the staged mock merge, whose reason can
+    differ from an older full mock merge's when a later step raised.
+    """
+    return content_hash("pair/2", space, *sorted((fp_a, fp_b)))
 
 
 def group_key(space: str, fingerprints: Sequence[str]) -> str:

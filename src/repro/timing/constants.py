@@ -43,6 +43,23 @@ class ConstantAnalysis:
         self._live_cache: Dict[int, bool] = {}
         self._propagate()
 
+    @classmethod
+    def shared(cls, graph: TimingGraph, case_values: Mapping[int, int],
+               disabled_arcs: Set[int]) -> "ConstantAnalysis":
+        """The analysis for this content, built once per graph.
+
+        Constants are a pure function of the graph, the case values and
+        the disabled arcs, and the analysis is never mutated once built
+        (its liveness memo fills deterministically), so every binding
+        with equal content shares one instance.
+        """
+        key = (frozenset(case_values.items()), frozenset(disabled_arcs))
+        analysis = graph.constants_memo.get(key)
+        if analysis is None:
+            analysis = cls(graph, case_values, disabled_arcs)
+            graph.constants_memo[key] = analysis
+        return analysis  # type: ignore[return-value]
+
     # ------------------------------------------------------------------
     # propagation
     # ------------------------------------------------------------------

@@ -208,8 +208,8 @@ class BoundMode:
         self.uncertainty: Dict[Tuple[str, str], float] = {}
 
         self._bind()
-        self.constants = ConstantAnalysis(self.graph, self.case_values,
-                                          self.disabled_arcs)
+        self.constants = ConstantAnalysis.shared(
+            self.graph, self.case_values, self.disabled_arcs)
 
     # ------------------------------------------------------------------
     # binding

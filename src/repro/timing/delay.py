@@ -44,11 +44,14 @@ class WireLoadDelayModel(DelayModel):
     def __init__(self, slope: float = 0.05, net_delay: float = 0.0):
         self.slope = slope
         self.net_delay = net_delay
-        # Memoized per-arc delays (graph arcs are stable).
-        self._cache: dict = {}
 
     def arc_delay(self, graph: TimingGraph, arc: Arc) -> float:
-        cached = self._cache.get((id(graph), arc.index))
+        # Memoized per arc on the graph (its arcs are stable), so the
+        # table dies with the graph even under the process-wide default.
+        table = graph.delay_memo.get(self)
+        if table is None:
+            table = graph.delay_memo[self] = {}
+        cached = table.get(arc.index)
         if cached is not None:
             return cached
         if arc.kind == ARC_NET:
@@ -61,7 +64,7 @@ class WireLoadDelayModel(DelayModel):
             if net is not None:
                 fanout = net.fanout
             value = base + self.slope * fanout
-        self._cache[(id(graph), arc.index)] = value
+        table[arc.index] = value
         return value
 
 

@@ -14,7 +14,16 @@ the graph plus per-mode state).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.errors import CombinationalLoopError
 from repro.netlist.cells import ArcKind, Unateness
@@ -81,6 +90,14 @@ class TimingGraph:
         self.output_port_nodes: Set[int] = set()
         # instance name -> (clock node, [data nodes], [output nodes])
         self.seq_info: Dict[str, Tuple[int, List[int], List[int]]] = {}
+        #: ConstantAnalysis per (case values, disabled arcs) content
+        #: (see ConstantAnalysis.shared)
+        self.constants_memo: Dict[Tuple[FrozenSet, FrozenSet], object] = {}
+        #: Mode -> (its length when bound, its BoundMode on this graph)
+        #: (see MergeContext.bound_individuals)
+        self.bound_modes: Dict[object, Tuple[int, object]] = {}
+        #: delay model -> {arc index: delay} (see WireLoadDelayModel)
+        self.delay_memo: Dict[object, Dict[int, float]] = {}
         self._build()
         self.topo_order: List[int] = self._topo_sort()
         self.topo_rank: List[int] = [0] * len(self.node_names)
@@ -225,23 +242,10 @@ class TimingGraph:
                 f"endpoints={len(self.seq_data_nodes) + len(self.output_port_nodes)})")
 
 
-_GRAPH_CACHE: Dict[int, TimingGraph] = {}
-
-
 def build_graph(netlist: Netlist) -> TimingGraph:
-    """Build (or fetch a cached) timing graph for ``netlist``.
+    """The timing graph of ``netlist``, built once and kept on it.
 
-    The cache is keyed by object identity: netlists are append-only in this
-    library, and every caller that mutates a netlist builds a new one.
+    The netlist owns its graph (see :meth:`Netlist.derived`), so the
+    graph — and every memo the graph owns — is freed with the netlist.
     """
-    key = id(netlist)
-    graph = _GRAPH_CACHE.get(key)
-    if graph is None or graph.netlist is not netlist \
-            or graph.node_count != _expected_nodes(netlist):
-        graph = TimingGraph(netlist)
-        _GRAPH_CACHE[key] = graph
-    return graph
-
-
-def _expected_nodes(netlist: Netlist) -> int:
-    return len(netlist.ports) + sum(len(i.pins) for i in netlist.instances)
+    return netlist.derived("timing_graph", TimingGraph)

@@ -38,7 +38,7 @@ class TestMergeContext:
         mode = parse_mode(CLK, "A")
         first = MergeContext(pipeline_netlist, [mode]).bound_individuals()
         second = MergeContext(pipeline_netlist, [mode]).bound_individuals()
-        assert first[0] is second[0]  # process-wide cache hit
+        assert first[0] is second[0]  # kept on the netlist's graph
 
     def test_bind_merged_always_fresh(self, pipeline_netlist):
         ctx = MergeContext(pipeline_netlist, [parse_mode(CLK, "A")])

@@ -1,5 +1,8 @@
 """Unit tests for the delay models."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.netlist import NetlistBuilder
@@ -61,7 +64,32 @@ class TestWireLoadModel:
         model = WireLoadDelayModel()
         arc = arc_of(graph, "u1/A", "u1/Z")
         assert model.arc_delay(graph, arc) == model.arc_delay(graph, arc)
-        assert (id(graph), arc.index) in model._cache
+        assert arc.index in graph.delay_memo[model]
+
+    def test_memo_dies_with_its_graph(self):
+        def fanout(loads):
+            b = NetlistBuilder("t")
+            b.input("a")
+            inv = b.inv("u1", "a")
+            for index in range(loads):
+                b.buf(f"l{index}", inv.out)
+            return b.build()
+
+        model = WireLoadDelayModel(slope=0.1)
+        netlist = fanout(3)
+        graph = build_graph(netlist)
+        arc = arc_of(graph, "u1/A", "u1/Z")
+        base = netlist.instance("u1").cell.base_delay
+        assert model.arc_delay(graph, arc) == pytest.approx(base + 0.3)
+        graph_ref = weakref.ref(graph)
+        del netlist, graph, arc
+        gc.collect()
+        assert graph_ref() is None  # the model does not pin the graph
+
+        # A second design with a different fanout gets its own delays.
+        other = build_graph(fanout(1))
+        assert model.arc_delay(other, arc_of(other, "u1/A", "u1/Z")) \
+            == pytest.approx(base + 0.1)
 
     def test_sequential_base_delay(self):
         b = NetlistBuilder("t")
