@@ -136,21 +136,11 @@ from repro.diagnostics import (
 )
 from repro.errors import BudgetExceededError, ChaosSpecError, ReproError
 from repro.netlist import read_verilog
-from repro.obs.blackbox import (
-    BlackboxRecorder,
-    format_doctor_report,
-    load_blackbox,
-    set_blackbox,
-)
-from repro.obs.explain import (
-    DecisionLedger,
-    format_chains,
-    get_decisions,
-    set_decisions,
-)
-from repro.obs.metrics import MetricsRegistry, get_metrics, set_metrics
-from repro.obs.profile import Profiler, set_profiler
-from repro.obs.trace import Tracer, get_tracer, set_tracer
+from repro.obs.blackbox import format_doctor_report, load_blackbox
+from repro.obs.explain import format_chains, get_decisions
+from repro.obs.metrics import get_metrics
+from repro.obs.observer import observing, wire
+from repro.obs.trace import get_tracer
 from repro.sdc import Mode, parse_mode, write_mode
 
 
@@ -964,50 +954,54 @@ def _sibling_artifacts(args, report_path: Path,
     return artifacts
 
 
-def _write_observability(args, tracer, metrics, ledger,
-                         profiler=None, blackbox_target=None) -> None:
-    """Flush trace/metrics artifacts; export errors must not mask the run."""
-    if tracer is not None and args.trace:
+def _write_observability(args, observer, blackbox_target=None) -> None:
+    """Flush trace/metrics artifacts; export errors must not mask the run.
+
+    Every artifact flag enabled its collector (see :func:`main`).
+    """
+    tracer, metrics = observer.tracer, observer.metrics
+    if args.trace:
         try:
             tracer.write(args.trace, fmt=args.trace_format)
             print(f"wrote {args.trace}")
         except OSError as exc:
             print(f"cannot write trace to {args.trace}: {exc}",
                   file=sys.stderr)
-    if metrics is not None and args.metrics:
+    if args.metrics:
         try:
             metrics.write(args.metrics, fmt=args.metrics_format)
             print(f"wrote {args.metrics}")
         except OSError as exc:
             print(f"cannot write metrics to {args.metrics}: {exc}",
                   file=sys.stderr)
-    if ledger is not None and args.explain:
+    if args.explain:
         try:
-            ledger.write(args.explain)
+            observer.decisions.write(args.explain)
             print(f"wrote {args.explain}")
         except OSError as exc:
             print(f"cannot write decisions to {args.explain}: {exc}",
                   file=sys.stderr)
     profile_payload = None
-    if profiler is not None:
+    if observer.profiler.enabled:
         import json as json_mod
 
-        profile_payload = profiler.export(tracer=tracer, metrics=metrics)
-        if getattr(args, "profile", ""):
-            try:
-                Path(args.profile).write_text(
-                    json_mod.dumps(profile_payload, indent=2) + "\n")
-                print(f"wrote {args.profile}")
-            except OSError as exc:
-                print(f"cannot write profile to {args.profile}: {exc}",
-                      file=sys.stderr)
+        profile_payload = observer.profiler.export(tracer=tracer,
+                                                   metrics=metrics)
+        try:
+            Path(args.profile).write_text(
+                json_mod.dumps(profile_payload, indent=2) + "\n")
+            print(f"wrote {args.profile}")
+        except OSError as exc:
+            print(f"cannot write profile to {args.profile}: {exc}",
+                  file=sys.stderr)
     if args.report_html:
         from repro.obs.report_html import write_run_report
 
         try:
             write_run_report(
                 args.report_html, run=getattr(args, "_run", None),
-                tracer=tracer, metrics=metrics, decisions=ledger,
+                tracer=tracer, metrics=metrics,
+                decisions=observer.decisions,
                 profile=profile_payload,
                 artifacts=_sibling_artifacts(
                     args, Path(args.report_html), blackbox_target),
@@ -1037,6 +1031,34 @@ def _blackbox_target(args: argparse.Namespace) -> Optional[Path]:
     return Path("blackbox.json")
 
 
+def _dispatch(args: argparse.Namespace, policy: DegradationPolicy,
+              collector: DiagnosticCollector) -> Tuple[int, Optional[dict]]:
+    """Run the subcommand under the ``run`` span and frame: (exit code,
+    flight-recorder flush reason or None)."""
+    flush_reason: Optional[dict] = None
+    with get_tracer().span("run", command=args.command), \
+            get_decisions().frame("run", f"run:{args.command}",
+                                  command=args.command):
+        try:
+            code = args.func(args, policy, collector)
+        except _HardFailure:
+            # Controlled input errors: well-diagnosed already, no
+            # forensics needed.
+            code = 2
+        except BudgetExceededError as exc:
+            collector.capture(exc)
+            code = 2
+            flush_reason = {"kind": "budget", "detail": str(exc)[:240]}
+        except ReproError as exc:
+            # Under STRICT, library errors surface here: one line, exit 2.
+            collector.capture(exc)
+            code = 2
+            flush_reason = {
+                "kind": "error",
+                "detail": f"{type(exc).__name__}: {exc}"[:240]}
+    return code, flush_reason
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -1061,34 +1083,17 @@ def main(argv=None) -> int:
     # profiler needs spans (phase attribution) and the metrics registry
     # (hot-loop counters), so --profile force-enables both.
     want_all = bool(args.report_html) or args.command == "explain"
-    want_profile = bool(getattr(args, "profile", ""))
-    tracer = Tracer() if (args.trace or want_all or want_profile) else None
-    metrics = MetricsRegistry() \
-        if (args.metrics or want_all or want_profile) else None
-    ledger = DecisionLedger() \
-        if (args.explain or want_all) else None
-    profiler = Profiler() if want_profile else None
     # The flight recorder is always on: when a real tracer/ledger is
     # installed it mirrors their events; with no flags it still sees the
     # pipeline's frames through its FlightLedger stand-in, plus the
     # diagnostics/watchdog/chaos chokepoints.  A clean run writes
     # nothing; an abnormal exit flushes blackbox.json.
-    recorder = BlackboxRecorder()
-    if profiler is not None:
-        tracer.add_listener(profiler)
-    if tracer is not None:
-        tracer.add_listener(recorder)
-    if ledger is not None:
-        ledger.add_listener(recorder)
-    previous_tracer = set_tracer(tracer) if tracer is not None else None
-    previous_metrics = set_metrics(metrics) if metrics is not None else None
-    previous_ledger = set_decisions(
-        ledger if ledger is not None else recorder.flight_ledger())
-    previous_profiler = set_profiler(profiler) \
-        if profiler is not None else None
-    previous_blackbox = set_blackbox(recorder)
+    observer = wire(trace=bool(args.trace) or want_all,
+                    metrics=bool(args.metrics) or want_all,
+                    explain=bool(args.explain) or want_all,
+                    profile=bool(getattr(args, "profile", "")))
+    recorder, metrics = observer.blackbox, observer.metrics
     target = _blackbox_target(args)
-    flush_reason: Optional[dict] = None
 
     def _flush(reason: dict) -> None:
         if target is None:
@@ -1113,33 +1118,13 @@ def main(argv=None) -> int:
                 pass
     start = time.perf_counter()
     try:
-        if profiler is not None:
-            profiler.start()
-        with get_tracer().span("run", command=args.command), \
-                get_decisions().frame("run", f"run:{args.command}",
-                                      command=args.command):
+        with observing(observer):
+            observer.profiler.start()
             try:
-                code = args.func(args, policy, collector)
-            except _HardFailure:
-                # Controlled input errors: well-diagnosed already, no
-                # forensics needed.
-                code = 2
-            except BudgetExceededError as exc:
-                collector.capture(exc)
-                code = 2
-                flush_reason = {"kind": "budget",
-                                "detail": str(exc)[:240]}
-            except ReproError as exc:
-                # Under STRICT, library errors surface here: one line,
-                # exit 2.
-                collector.capture(exc)
-                code = 2
-                flush_reason = {
-                    "kind": "error",
-                    "detail": f"{type(exc).__name__}: {exc}"[:240]}
-        if metrics is not None:
-            metrics.set_gauge("run.wall_seconds",
-                              time.perf_counter() - start)
+                code, flush_reason = _dispatch(args, policy, collector)
+            finally:
+                observer.profiler.stop()
+        metrics.set_gauge("run.wall_seconds", time.perf_counter() - start)
     except BaseException as exc:
         # An uncaught crash: flush the flight recorder, then let the
         # failure propagate untouched.
@@ -1153,15 +1138,6 @@ def main(argv=None) -> int:
                 _signal.signal(sig, handler)
             except (ValueError, OSError):  # pragma: no cover
                 pass
-        if profiler is not None:
-            profiler.stop()
-            set_profiler(previous_profiler)
-        if tracer is not None:
-            set_tracer(previous_tracer)
-        if metrics is not None:
-            set_metrics(previous_metrics)
-        set_decisions(previous_ledger)
-        set_blackbox(previous_blackbox)
     if flush_reason is None:
         # cmd_merge marks runs whose groups were demoted by worker
         # crashes or other infrastructure faults.
@@ -1171,8 +1147,7 @@ def main(argv=None) -> int:
     for diagnostic in collector:
         print(diagnostic.format(), file=sys.stderr)
     _write_diagnostics(args.diagnostics, collector)
-    _write_observability(args, tracer, metrics, ledger, profiler=profiler,
-                         blackbox_target=target)
+    _write_observability(args, observer, blackbox_target=target)
     return code
 
 

@@ -48,7 +48,7 @@ from repro.obs.explain import (
     pair_subject,
 )
 from repro.obs.metrics import get_metrics
-from repro.obs.profile import get_profiler
+from repro.obs.observer import current, observing, wire
 from repro.obs.trace import get_tracer
 from repro.sdc.mode import Mode
 from repro.store import group_key, key_space, mode_fingerprint, pair_key
@@ -110,9 +110,6 @@ def pair_mergeable(netlist: Netlist, mode_a: Mode, mode_b: Mode,
     (:func:`_preliminary_merge` plus :func:`clock_blocking_reason`).
     """
     opts = options or MergeOptions()
-    metrics = get_metrics()
-    if metrics.enabled:
-        metrics.inc("profile.mock_merges")
     # Mock merges must not pollute the decision ledger: the scan's own
     # pair verdicts are the queryable record, and the serial and pooled
     # paths must produce identical ledgers.
@@ -299,6 +296,10 @@ def build_mergeability_graph(netlist: Netlist, modes: Sequence[Mode],
                                         f"mergeability check failed: "
                                         f"{outcome.error}")
         metrics.inc("mergeability.pairs_scanned", len(pending))
+        if pending:
+            # One mock merge per scanned pair, counted here rather than
+            # in a (possibly forked) worker: the same total at any jobs.
+            metrics.inc("profile.mock_merges", len(pending))
         if fresh and cache is not None:
             cache.store_pairs(fresh)
 
@@ -505,89 +506,35 @@ def _group_task(netlist, by_name, options, names):
     The parent binds the design with :func:`functools.partial` (like
     :func:`_scan_pair`), so no module state pins it after the run.
 
-    The worker installs *fresh* observability collectors — the forked
-    copies of the parent's would die with the process — runs the same
-    :func:`run_merge_group` the serial path uses, and ships everything
-    back as plain JSON-ready data: serialized outcomes (the checkpoint
-    representation, whose SDC round-trip is proven byte-identical),
-    diagnostics, decision records and the metrics payload, for the
-    parent to graft into its own ambient stack.
+    The worker installs a *fresh* observer with the collectors the
+    parent has enabled — the forked copies of the parent's would die
+    with the process — runs the same :func:`run_merge_group` the serial
+    path uses, and ships everything back as plain JSON-ready data:
+    serialized outcomes (the checkpoint representation, whose SDC
+    round-trip is proven byte-identical), diagnostics, and the
+    observer's :meth:`~repro.obs.observer.Observer.payload` for the
+    parent to fold into its own.
     """
-    from contextlib import ExitStack
-
     from repro.checkpoint import serialize_outcome
-    from repro.obs.blackbox import BlackboxRecorder, get_blackbox, recording
-    from repro.obs.explain import DecisionLedger, explaining
-    from repro.obs.metrics import MetricsRegistry, collecting
-    from repro.obs.profile import Profiler, get_profiler
-    from repro.obs.trace import Tracer, tracing
 
-    ledger = DecisionLedger() if get_decisions().enabled else None
-    registry = MetricsRegistry() if get_metrics().enabled else None
+    parent = current()
+    observer = wire(trace=parent.tracer.enabled,
+                    metrics=parent.metrics.enabled,
+                    explain=parent.decisions.enabled,
+                    profile=parent.profiler.enabled)
     sink = DiagnosticCollector()
-    # The worker's ring must be its own: the forked copy of the parent's
-    # flight recorder would die with the process, so the worker records
-    # into a fresh one and ships it home in the bundle for the parent to
-    # fold (exactly like the profiler payload below).
-    recorder = BlackboxRecorder() if get_blackbox().enabled else None
-    # The parent's profiler enabled-flag survives the fork (thread-local
-    # for the forking thread), but its cProfile session must not: the
-    # worker profiles its own task on a fresh tracer+profiler pair and
-    # ships the payload home for a deterministic merge.
-    profiler = Profiler() if get_profiler().enabled else None
-    prof_tracer = None
-    with ExitStack() as stack:
-        if recorder is not None:
-            stack.enter_context(recording(recorder))
-            if ledger is not None:
-                ledger.add_listener(recorder)
-        if ledger is not None or recorder is None:
-            stack.enter_context(explaining(ledger))
-        else:
-            stack.enter_context(explaining(recorder.flight_ledger()))
-        stack.enter_context(collecting(registry))
-        if profiler is not None:
-            prof_tracer = Tracer()
-            prof_tracer.add_listener(profiler)
-            stack.enter_context(tracing(prof_tracer))
-            profiler.start()
+    with observing(observer):
+        observer.profiler.start()
         try:
             outcomes = run_merge_group(netlist, by_name, list(names),
                                        options, sink)
         finally:
-            if profiler is not None:
-                profiler.stop()
-    bundle = {
+            observer.profiler.stop()
+    return {
         "outcomes": [serialize_outcome(o) for o in outcomes],
         "diagnostics": [d.to_dict() for d in sink.diagnostics],
-        "decisions": [d.to_dict() for d in ledger.records]
-        if ledger is not None else [],
-        "metrics": registry.to_dict() if registry is not None else None,
+        "obs": observer.payload(),
     }
-    if profiler is not None:
-        bundle["profile"] = profiler.to_payload(tracer=prof_tracer)
-    if recorder is not None:
-        bundle["blackbox"] = recorder.to_payload()
-    return bundle
-
-
-def _fold_bundle(bundle: dict) -> None:
-    """Fold a worker bundle's observability into the parent's stack:
-    decisions grafted under the current frame (span names preserved),
-    metrics, profile and flight-recorder payloads merged."""
-    ledger = get_decisions()
-    if ledger.enabled:
-        ledger.graft(bundle["decisions"])
-    metrics = get_metrics()
-    if metrics.enabled and bundle["metrics"]:
-        metrics.merge_payload(bundle["metrics"])
-    profiler = get_profiler()
-    if profiler.enabled and bundle.get("profile"):
-        profiler.merge_payload(bundle["profile"])
-    if bundle.get("blackbox"):
-        from repro.obs.blackbox import get_blackbox
-
-        get_blackbox().merge_payload(bundle["blackbox"])
 
 
 def _group_payload_error(value) -> str:
@@ -921,7 +868,7 @@ def merge_all(netlist: Netlist, modes: Sequence[Mode],
                 if restored:
                     sink.extend(diagnostics)
                 else:
-                    _fold_bundle(entry)
+                    current().fold(entry["obs"])
                     # The worker already bridged its diagnostics into
                     # its own ledger and metrics: re-adding them through
                     # the collector would double-count.

@@ -25,10 +25,28 @@ decisions, diagnostics, and chaos strikes that costs nothing to keep
 and is flushed as ``blackbox.json`` only when a run dies abnormally
 (``repro-merge doctor`` renders the forensics).
 
+Every collector is **ambient**: :mod:`repro.obs.observer` bundles the
+tracer, metrics registry, decision ledger, profiler and flight recorder
+of a run into one :class:`Observer` and installs it in one slot
+(process-global, with a per-thread override).  ``get_tracer()`` and its
+siblings read that slot; :func:`observing` / :func:`thread_observing`
+install a whole observer, and ``tracing``/``collecting``/``explaining``/
+``profiling``/``recording`` replace one collector for a scope.
+
 See docs/OBSERVABILITY.md for the span taxonomy, the metric name
 contract, the provenance record schema, the decision-node schema, and
 the artifact zoo index.
 """
+
+# The observer module goes first: it imports the collector modules by
+# name, and they reach it back through a module reference.
+from repro.obs.observer import (
+    Observer,
+    current,
+    observing,
+    thread_observing,
+    wire,
+)
 
 from repro.obs.blackbox import (
     BLACKBOX_SCHEMA_VERSION,
@@ -39,8 +57,6 @@ from repro.obs.blackbox import (
     get_blackbox,
     load_blackbox,
     recording,
-    set_blackbox,
-    thread_recording,
 )
 from repro.obs.explain import (
     DECISION_KINDS,
@@ -56,7 +72,6 @@ from repro.obs.explain import (
     group_subject,
     muted,
     pair_subject,
-    set_decisions,
 )
 from repro.obs.metrics import (
     COUNT_BUCKETS,
@@ -67,7 +82,6 @@ from repro.obs.metrics import (
     NullMetrics,
     collecting,
     get_metrics,
-    set_metrics,
 )
 from repro.obs.provenance import (
     MERGE_RULES,
@@ -91,7 +105,6 @@ from repro.obs.trace import (
     Span,
     Tracer,
     get_tracer,
-    set_tracer,
     tracing,
 )
 
@@ -111,6 +124,7 @@ __all__ = [
     "NullDecisions",
     "NullMetrics",
     "NullTracer",
+    "Observer",
     "PROVENANCE_SCHEMA_VERSION",
     "ProvenanceLedger",
     "ProvenanceRecord",
@@ -126,6 +140,7 @@ __all__ = [
     "Tracer",
     "causal_chain",
     "collecting",
+    "current",
     "explain",
     "explaining",
     "find_decisions",
@@ -138,14 +153,12 @@ __all__ = [
     "group_subject",
     "load_blackbox",
     "muted",
+    "observing",
     "pair_subject",
     "recording",
     "render_run_report",
-    "set_blackbox",
-    "set_decisions",
-    "set_metrics",
-    "set_tracer",
-    "thread_recording",
+    "thread_observing",
     "tracing",
+    "wire",
     "write_run_report",
 ]

@@ -46,9 +46,9 @@ import sys
 import threading as _threading
 import time
 from collections import deque
-from contextlib import contextmanager
 from typing import Any, Dict, List, Optional
 
+from repro.obs import observer as _observer
 from repro.obs.explain import NullDecisions
 from repro.store import atomic_write
 
@@ -545,54 +545,11 @@ def format_doctor_report(payload: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-# ---------------------------------------------------------------------------
-# the ambient recorder (same triad as trace/metrics/explain/profile)
-# ---------------------------------------------------------------------------
-_AMBIENT: NullBlackbox = NullBlackbox()
-_THREAD_AMBIENT = _threading.local()
-
-
 def get_blackbox() -> NullBlackbox:
-    """The ambient flight recorder (a no-op unless installed).
-
-    A thread-scoped recorder (:func:`thread_recording`) shadows the
-    process-global one on its thread only — the serve layer gives each
-    job its own ring.
-    """
-    local = getattr(_THREAD_AMBIENT, "recorder", None)
-    return local if local is not None else _AMBIENT
+    """The ambient flight recorder (a no-op unless installed)."""
+    return _observer.current().blackbox
 
 
-def set_blackbox(recorder: Optional[NullBlackbox]) -> NullBlackbox:
-    """Install ``recorder`` as ambient (None restores the null one).
-
-    Returns the previously installed recorder so callers can restore it.
-    """
-    global _AMBIENT
-    previous = _AMBIENT
-    _AMBIENT = recorder if recorder is not None else NullBlackbox()
-    return previous
-
-
-@contextmanager
 def recording(recorder: Optional[NullBlackbox]):
     """Scope-install a recorder globally and for this thread."""
-    previous = set_blackbox(recorder)
-    prev_local = getattr(_THREAD_AMBIENT, "recorder", None)
-    _THREAD_AMBIENT.recorder = recorder
-    try:
-        yield get_blackbox()
-    finally:
-        set_blackbox(previous)
-        _THREAD_AMBIENT.recorder = prev_local
-
-
-@contextmanager
-def thread_recording(recorder: Optional[NullBlackbox]):
-    """Scope-install a recorder for the *current thread* only."""
-    previous = getattr(_THREAD_AMBIENT, "recorder", None)
-    _THREAD_AMBIENT.recorder = recorder
-    try:
-        yield get_blackbox()
-    finally:
-        _THREAD_AMBIENT.recorder = previous
+    return _observer.replacing("blackbox", recorder)

@@ -11,7 +11,7 @@ such as "merging group A+B" or "running step exceptions") so every leaf
 decision carries its full causal chain back to the run root.
 
 Like tracing and metrics, decision recording is **ambient**
-(:func:`get_decisions` / :func:`set_decisions` / :func:`explaining`) and
+(:func:`get_decisions` / :func:`explaining`) and
 free when disabled: the default :class:`NullDecisions` makes every
 ``decide``/``frame`` call a no-op.
 
@@ -41,10 +41,10 @@ decisions from the run root down to the match.
 from __future__ import annotations
 
 import json
-import threading as _threading
-from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+
+from repro.obs import observer as _observer
 
 #: Version of the decisions JSON artifact (``--explain out.json``).
 DECISIONS_SCHEMA_VERSION = 1
@@ -495,83 +495,24 @@ def format_chains(chains: Sequence[Sequence[Decision]]) -> str:
 # ---------------------------------------------------------------------------
 # ambient ledger
 # ---------------------------------------------------------------------------
-#: The ambient ledger decision sites fetch; no-op unless installed.
-_AMBIENT: NullDecisions = NullDecisions()
-
-#: Per-thread override of the ambient ledger.  Concurrent job threads
-#: (repro.serve) each record into their own ledger; a DecisionLedger's
-#: frame stack is not thread-safe, so sharing the global one would
-#: corrupt parent links.
-_THREAD_AMBIENT = _threading.local()
-
-#: Shared muted sentinel: an explicit thread-local override that
-#: suppresses recording even when an outer thread-scoped ledger exists.
-_MUTED = NullDecisions()
-
-
 def get_decisions() -> NullDecisions:
-    """The ambient decision ledger (a no-op unless installed).
-
-    A thread-scoped ledger (:func:`thread_explaining`) shadows the
-    process-global one on its thread only.
-    """
-    local = getattr(_THREAD_AMBIENT, "ledger", None)
-    return local if local is not None else _AMBIENT
+    """The ambient decision ledger (a no-op unless installed)."""
+    return _observer.current().decisions
 
 
-def set_decisions(ledger: Optional[NullDecisions]) -> NullDecisions:
-    """Install ``ledger`` as ambient (None restores the null ledger).
-
-    Returns the previously installed ledger so callers can restore it.
-    """
-    global _AMBIENT
-    previous = _AMBIENT
-    _AMBIENT = ledger if ledger is not None else NullDecisions()
-    return previous
-
-
-@contextmanager
 def explaining(ledger: Optional[NullDecisions]):
     """Scope-install a ledger: ``with explaining(DecisionLedger()):``.
 
-    Installs globally *and* as this thread's override, so the scope wins
-    even inside a thread (or forked worker) that inherited a
-    thread-scoped ledger.
+    Replaces the ambient observer's ledger globally and on this thread.
     """
-    previous = set_decisions(ledger)
-    prev_local = getattr(_THREAD_AMBIENT, "ledger", None)
-    _THREAD_AMBIENT.ledger = ledger
-    try:
-        yield get_decisions()
-    finally:
-        set_decisions(previous)
-        _THREAD_AMBIENT.ledger = prev_local
+    return _observer.replacing("decisions", ledger)
 
 
-@contextmanager
-def thread_explaining(ledger: Optional[NullDecisions]):
-    """Scope-install a ledger for the *current thread* only."""
-    previous = getattr(_THREAD_AMBIENT, "ledger", None)
-    _THREAD_AMBIENT.ledger = ledger
-    try:
-        yield get_decisions()
-    finally:
-        _THREAD_AMBIENT.ledger = previous
-
-
-@contextmanager
 def muted():
     """Scope-suppress decision recording (mock merges, probe re-merges).
 
-    Mutes the global ambient ledger *and* pushes an explicit muted
-    override for this thread, so a thread-scoped ledger is suppressed
-    too.
+    Only the calling thread is muted: concurrent runs on other threads
+    keep recording, and the process-global ledger is never touched.
     """
-    previous = set_decisions(None)
-    prev_local = getattr(_THREAD_AMBIENT, "ledger", None)
-    _THREAD_AMBIENT.ledger = _MUTED
-    try:
-        yield
-    finally:
-        set_decisions(previous)
-        _THREAD_AMBIENT.ledger = prev_local
+    return _observer.thread_observing(
+        replace(_observer.current(), decisions=None))

@@ -17,7 +17,7 @@ Two exporters:
   format (dots become underscores, ``repro_`` prefix).
 
 Like tracing, metrics use an **ambient registry**
-(:func:`get_metrics` / :func:`set_metrics`), defaulting to a
+(:func:`get_metrics` / :func:`collecting`), defaulting to a
 :class:`NullMetrics` whose operations are no-ops, so the instrumentation
 is free when nobody is collecting.
 """
@@ -25,9 +25,9 @@ is free when nobody is collecting.
 from __future__ import annotations
 
 import json
-import threading as _threading
-from contextlib import contextmanager
 from typing import Any, Dict, List, Optional, Sequence, Tuple
+
+from repro.obs import observer as _observer
 
 #: Version of the metrics JSON artifact.  Bump on incompatible layout
 #: changes; downstream tooling dispatches on this field.
@@ -514,61 +514,14 @@ def _prom_value(value: float) -> str:
     return repr(value)
 
 
-#: The ambient registry instrumentation sites fetch; no-op by default.
-_AMBIENT: NullMetrics = NullMetrics()
-
-#: Per-thread override of the process-global ambient registry.  The
-#: batch merge service runs jobs on concurrent threads, each with its
-#: own registry; without this, two jobs would interleave counts into
-#: whatever registry the main thread installed.
-_THREAD_AMBIENT = _threading.local()
-
-
 def get_metrics() -> NullMetrics:
-    """The ambient metrics registry (a no-op unless installed).
-
-    A thread-scoped registry (:func:`thread_collecting`) shadows the
-    process-global one on its thread only.
-    """
-    local = getattr(_THREAD_AMBIENT, "registry", None)
-    return local if local is not None else _AMBIENT
+    """The ambient metrics registry (a no-op unless installed)."""
+    return _observer.current().metrics
 
 
-def set_metrics(registry: Optional[NullMetrics]) -> NullMetrics:
-    """Install ``registry`` as ambient (None restores the null registry).
-
-    Returns the previously installed registry.
-    """
-    global _AMBIENT
-    previous = _AMBIENT
-    _AMBIENT = registry if registry is not None else NullMetrics()
-    return previous
-
-
-@contextmanager
 def collecting(registry: Optional[NullMetrics]):
     """Scope-install a registry: ``with collecting(MetricsRegistry()):``.
 
-    Installs globally *and* as this thread's override, so the scope wins
-    even inside a thread (or forked worker) that inherited a
-    thread-scoped registry.
+    Replaces the ambient observer's registry globally and on this thread.
     """
-    previous = set_metrics(registry)
-    prev_local = getattr(_THREAD_AMBIENT, "registry", None)
-    _THREAD_AMBIENT.registry = registry
-    try:
-        yield get_metrics()
-    finally:
-        set_metrics(previous)
-        _THREAD_AMBIENT.registry = prev_local
-
-
-@contextmanager
-def thread_collecting(registry: Optional[NullMetrics]):
-    """Scope-install a registry for the *current thread* only."""
-    previous = getattr(_THREAD_AMBIENT, "registry", None)
-    _THREAD_AMBIENT.registry = registry
-    try:
-        yield get_metrics()
-    finally:
-        _THREAD_AMBIENT.registry = previous
+    return _observer.replacing("metrics", registry)

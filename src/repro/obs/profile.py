@@ -20,7 +20,7 @@ pipeline's existing trace spans:
   snapshots them next to the timings.
 
 Like tracing and metrics, profiling is **ambient**
-(:func:`get_profiler` / :func:`set_profiler` / :func:`profiling`): the
+(:func:`get_profiler` / :func:`profiling`): the
 default is a :class:`NullProfiler` whose operations are no-ops, so a
 run without ``--profile`` pays nothing.  In ``--jobs N`` runs each
 forked worker profiles its own task (:meth:`Profiler.to_payload`) and
@@ -37,10 +37,10 @@ from __future__ import annotations
 
 import cProfile
 import json
-import threading as _threading
 import time
-from contextlib import contextmanager
 from typing import Any, Dict, List, Optional
+
+from repro.obs import observer as _observer
 
 #: Version of the ``profile.json`` artifact.  Bump on any
 #: backwards-incompatible layout change.
@@ -327,54 +327,11 @@ class Profiler(NullProfiler):
                                     indent=2) + "\n")
 
 
-#: The ambient profiler call sites fetch; no-op unless installed.
-_AMBIENT: NullProfiler = NullProfiler()
-
-#: Per-thread override: concurrent serve jobs each profile on their own
-#: thread without sharing one cProfile session (which is per-thread).
-_THREAD_AMBIENT = _threading.local()
-
-
 def get_profiler() -> NullProfiler:
-    """The ambient profiler (a no-op :class:`NullProfiler` by default).
-
-    A thread-scoped profiler (:func:`thread_profiling`) shadows the
-    process-global one on its thread only.
-    """
-    local = getattr(_THREAD_AMBIENT, "profiler", None)
-    return local if local is not None else _AMBIENT
+    """The ambient profiler (a no-op :class:`NullProfiler` by default)."""
+    return _observer.current().profiler
 
 
-def set_profiler(profiler: Optional[NullProfiler]) -> NullProfiler:
-    """Install ``profiler`` as ambient (None restores the null profiler).
-
-    Returns the previously installed profiler so callers can restore it.
-    """
-    global _AMBIENT
-    previous = _AMBIENT
-    _AMBIENT = profiler if profiler is not None else NullProfiler()
-    return previous
-
-
-@contextmanager
 def profiling(profiler: Optional[NullProfiler]):
     """Scope-install a profiler globally *and* on this thread."""
-    previous = set_profiler(profiler)
-    prev_local = getattr(_THREAD_AMBIENT, "profiler", None)
-    _THREAD_AMBIENT.profiler = profiler
-    try:
-        yield get_profiler()
-    finally:
-        set_profiler(previous)
-        _THREAD_AMBIENT.profiler = prev_local
-
-
-@contextmanager
-def thread_profiling(profiler: Optional[NullProfiler]):
-    """Scope-install a profiler for the *current thread* only."""
-    previous = getattr(_THREAD_AMBIENT, "profiler", None)
-    _THREAD_AMBIENT.profiler = profiler
-    try:
-        yield get_profiler()
-    finally:
-        _THREAD_AMBIENT.profiler = previous
+    return _observer.replacing("profiler", profiler)

@@ -21,7 +21,7 @@ Two export formats:
 * ``chrome`` — the Chrome ``trace_event`` format; load the file in
   ``chrome://tracing`` or https://ui.perfetto.dev to see the flame chart.
 
-The **ambient tracer** (:func:`get_tracer` / :func:`set_tracer`) is how
+The **ambient tracer** (:func:`get_tracer` / :func:`tracing`) is how
 the pipeline is instrumented without threading a tracer argument through
 every call: instrumentation sites fetch the ambient tracer and open spans
 on it.  The default ambient tracer is a :class:`NullTracer` whose
@@ -33,10 +33,10 @@ from __future__ import annotations
 
 import json
 import os
-import threading as _threading
 import time
-from contextlib import contextmanager
 from typing import Any, Dict, Iterator, List, Optional
+
+from repro.obs import observer as _observer
 
 #: Version of the JSONL trace artifact's header line.  Bump on any
 #: backwards-incompatible layout change.
@@ -345,61 +345,14 @@ def _jsonable(value):
     return repr(value)
 
 
-#: The ambient tracer instrumentation sites fetch.  NullTracer by default:
-#: the whole tracing layer is free unless someone installs a real Tracer.
-_AMBIENT: NullTracer = NullTracer()
-
-#: Per-thread override of the ambient tracer.  A Tracer's span stack is
-#: not thread-safe; concurrent jobs (repro.serve) each install their own
-#: tracer on their own thread instead of sharing the global one.
-_THREAD_AMBIENT = _threading.local()
-
-
 def get_tracer() -> NullTracer:
-    """The ambient tracer (a no-op :class:`NullTracer` unless installed).
-
-    A thread-scoped tracer (:func:`thread_tracing`) shadows the
-    process-global one on its thread only.
-    """
-    local = getattr(_THREAD_AMBIENT, "tracer", None)
-    return local if local is not None else _AMBIENT
+    """The ambient tracer (a no-op :class:`NullTracer` unless installed)."""
+    return _observer.current().tracer
 
 
-def set_tracer(tracer: Optional[NullTracer]) -> NullTracer:
-    """Install ``tracer`` as ambient (None restores the null tracer).
-
-    Returns the previously installed tracer so callers can restore it.
-    """
-    global _AMBIENT
-    previous = _AMBIENT
-    _AMBIENT = tracer if tracer is not None else NullTracer()
-    return previous
-
-
-@contextmanager
 def tracing(tracer: Optional[NullTracer]):
     """Scope-install a tracer: ``with tracing(Tracer()) as t: ...``.
 
-    Installs globally *and* as this thread's override, so the scope wins
-    even inside a thread (or forked worker) that inherited a
-    thread-scoped tracer.
+    Replaces the ambient observer's tracer globally and on this thread.
     """
-    previous = set_tracer(tracer)
-    prev_local = getattr(_THREAD_AMBIENT, "tracer", None)
-    _THREAD_AMBIENT.tracer = tracer
-    try:
-        yield get_tracer()
-    finally:
-        set_tracer(previous)
-        _THREAD_AMBIENT.tracer = prev_local
-
-
-@contextmanager
-def thread_tracing(tracer: Optional[NullTracer]):
-    """Scope-install a tracer for the *current thread* only."""
-    previous = getattr(_THREAD_AMBIENT, "tracer", None)
-    _THREAD_AMBIENT.tracer = tracer
-    try:
-        yield get_tracer()
-    finally:
-        _THREAD_AMBIENT.tracer = previous
+    return _observer.replacing("tracer", tracer)

@@ -235,6 +235,14 @@ class _Args:
                             command.name, f"option -{opt} needs a value",
                             tok.line)
                     value_tok = tokens[i + 1]
+                    if value_tok.kind is TokenKind.WORD \
+                            and value_tok.value.startswith("-") \
+                            and not _is_number(value_tok.value):
+                        # Another option, not this one's value: taking
+                        # it would not survive a write -> parse trip.
+                        raise SdcCommandError(
+                            command.name, f"option -{opt} needs a value",
+                            tok.line)
                     if opt in self.multi_options:
                         self.multi_options[opt].append(value_tok)
                     else:

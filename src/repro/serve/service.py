@@ -32,7 +32,8 @@ import queue as queue_mod
 import signal
 import threading
 import time
-from dataclasses import dataclass
+from contextlib import ExitStack
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
@@ -48,22 +49,15 @@ from repro.errors import AdmissionError, ExecInterrupted
 from repro.exec.chaos import CACHE_FAULT_KINDS, ChaosPlan
 from repro.exec.gate import FairSlotGate
 from repro.netlist import read_verilog
-from repro.obs.blackbox import (
-    BlackboxRecorder,
-    get_blackbox,
-    thread_recording,
-)
-from repro.obs.explain import DecisionLedger, thread_explaining
+from repro.obs.blackbox import get_blackbox
 from repro.obs.metrics import (
     METRIC_CONTRACT,
     MetricsRegistry,
     TeeMetrics,
+    collecting,
     get_metrics,
-    set_metrics,
-    thread_collecting,
 )
-from repro.obs.profile import Profiler, thread_profiling
-from repro.obs.trace import Tracer, thread_tracing
+from repro.obs.observer import thread_observing, wire
 from repro.sdc import parse_mode, write_mode
 from repro.serve.jobs import (
     Job,
@@ -204,8 +198,7 @@ class MergeService:
         #: resolved by start() (reuses an enabled ambient registry,
         #: otherwise installs its own and restores it on drain)
         self.metrics: Optional[MetricsRegistry] = None
-        self._owns_ambient_metrics = False
-        self._previous_metrics: Optional[MetricsRegistry] = None
+        self._ambient = ExitStack()
         self._started_monotonic: Optional[float] = None
         #: burn-rate SLO engine over the service registry (start())
         self.slo: Optional[SLOEngine] = None
@@ -228,8 +221,7 @@ class MergeService:
             self.metrics = ambient
         else:
             self.metrics = MetricsRegistry()
-            self._previous_metrics = set_metrics(self.metrics)
-            self._owns_ambient_metrics = True
+            self._ambient.enter_context(collecting(self.metrics))
         if hasattr(self.metrics, "declare"):
             for name in METRIC_CONTRACT:
                 if name.partition(".")[0] in ("serve", "exec", "cache"):
@@ -311,9 +303,7 @@ class MergeService:
         except JournalError:
             pass  # shutting down anyway; replay needs no terminal mark
         self.journal.close()
-        if self._owns_ambient_metrics:
-            set_metrics(self._previous_metrics)
-            self._owns_ambient_metrics = False
+        self._ambient.close()
 
     @property
     def draining(self) -> bool:
@@ -625,29 +615,21 @@ class MergeService:
             self._journal_progress("progress", job, done=done, total=total)
 
         options.progress = _progress
-        tracer = Tracer()
-        registry = MetricsRegistry()
-        ledger = DecisionLedger()
-        # Job recordings also land in the service registry so a scrape
-        # of GET /api/metrics mid-run sees the in-flight exec./cache.
-        # activity; the job's own artifact still reads from `registry`.
-        job_metrics = registry if self.metrics is None \
-            else TeeMetrics(registry, self.metrics)
-        profiler = Profiler() if want_profile else None
-        # Each attempt gets a fresh per-job flight recorder; a failing
-        # attempt flushes it into the job's artifacts directory so the
-        # forensics ride along with the job, not the server process.
-        recorder = BlackboxRecorder()
-        tracer.add_listener(recorder)
-        ledger.add_listener(recorder)
-        if profiler is not None:
-            tracer.add_listener(profiler)
+        # Each attempt gets a fresh per-job observer whose flight
+        # recorder a failing attempt flushes into the job's artifacts
+        # directory, so the forensics ride along with the job, not the
+        # server process.  Job recordings also land in the service
+        # registry so a scrape of GET /api/metrics mid-run sees the
+        # in-flight exec./cache. activity; the job's own artifact still
+        # reads from the job registry.
+        observer = wire(trace=True, metrics=True, explain=True,
+                        profile=want_profile)
+        registry = observer.metrics
+        job_observer = observer if self.metrics is None else replace(
+            observer, metrics=TeeMetrics(registry, self.metrics))
         try:
-            with thread_tracing(tracer), thread_collecting(job_metrics), \
-                    thread_explaining(ledger), thread_profiling(profiler), \
-                    thread_recording(recorder):
-                if profiler is not None:
-                    profiler.start()
+            with thread_observing(job_observer):
+                observer.profiler.start()
                 try:
                     # Parse inside the guarded region: an unparseable
                     # submission is exactly the kind of failure the
@@ -657,7 +639,7 @@ class MergeService:
                                         collector=job_collector,
                                         source=name)
                              for name, text in sorted(sdc_texts.items())]
-                    with tracer.span("serve:job", job=job.id,
+                    with observer.tracer.span("serve:job", job=job.id,
                                      modes=[m.name for m in modes],
                                      attempt=job.attempts):
                         checkpoint = MergeCheckpoint.open(
@@ -680,14 +662,13 @@ class MergeService:
                                         jobs=self.config.jobs,
                                         cache=self.cache)
                 finally:
-                    if profiler is not None:
-                        profiler.stop()
+                    observer.profiler.stop()
             self.chaos.strike("serve:finalize")
         except ExecInterrupted:
             # Clean drain/cancel: the job resumes later, nothing is wrong.
             raise
         except BaseException as exc:
-            recorder.flush(
+            observer.blackbox.flush(
                 job.directory / "artifacts" / "blackbox.json",
                 reason={"kind": "job-fault", "job": job.id,
                         "attempt": job.attempts,
@@ -695,9 +676,8 @@ class MergeService:
                 metrics=registry)
             raise
         self._journal_progress("finalize", job)
-        job.artifacts = self._write_artifacts(
-            job, run, tracer, registry, ledger, job_collector,
-            profiler=profiler)
+        job.artifacts = self._write_artifacts(job, run, observer,
+                                              job_collector)
         # A successful attempt supersedes any forensics a failed earlier
         # attempt left behind: blackboxes are retained for failed jobs.
         stale = job.directory / "artifacts" / "blackbox.json"
@@ -707,10 +687,12 @@ class MergeService:
             except OSError:
                 pass
 
-    def _write_artifacts(self, job: Job, run, tracer, registry, ledger,
-                         job_collector, profiler=None) -> List[str]:
+    def _write_artifacts(self, job: Job, run, observer,
+                         job_collector) -> List[str]:
         """Write the artifact set; deterministic pieces are re-written
         byte-identically when a crash forces this to run again."""
+        tracer, registry = observer.tracer, observer.metrics
+        ledger, profiler = observer.decisions, observer.profiler
         base = job.directory / "artifacts"
         base.mkdir(parents=True, exist_ok=True)
         names: List[str] = []
@@ -731,14 +713,14 @@ class MergeService:
         names.append("decisions.json")
         (base / "diagnostics.json").write_text(job_collector.to_json())
         names.append("diagnostics.json")
-        if profiler is not None:
+        if profiler.enabled:
             profiler.write(base / "profile.json", tracer=tracer,
                            metrics=registry)
             names.append("profile.json")
         from repro.obs.report_html import write_run_report
 
-        profile_payload = None if profiler is None \
-            else profiler.export(tracer=tracer, metrics=registry)
+        profile_payload = profiler.export(tracer=tracer, metrics=registry) \
+            if profiler.enabled else None
         write_run_report(base / "report.html", run=run, tracer=tracer,
                          metrics=registry, decisions=ledger,
                          profile=profile_payload,

@@ -117,6 +117,26 @@ class TestParallelEquivalence:
         assert serial["decisions"] == parallel["decisions"]
         assert serial["by_kind"] == parallel["by_kind"]
 
+    def test_work_counters_do_not_depend_on_jobs(self, monkeypatch):
+        # The pairwise scan's mock merges run in forked workers at
+        # jobs > 1; their count must still reach the parent's registry.
+        from repro.core import merge_all
+        from repro.obs.metrics import MetricsRegistry, collecting
+        from repro.workloads import figure2_modes, generate
+
+        monkeypatch.delenv("REPRO_CHAOS", raising=False)
+        workload = generate(figure2_modes())
+        names = ("profile.mock_merges", "mergeability.pairs_scanned",
+                 "merge.runs", "three_pass.iterations")
+        counts = {}
+        for jobs in (1, 2):
+            with collecting(MetricsRegistry()) as registry:
+                merge_all(workload.netlist, workload.modes, jobs=jobs)
+            counts[jobs] = {name: registry.counter(name) for name in names}
+        assert counts[1]["profile.mock_merges"] > 0
+        assert counts[1]["merge.runs"] > 0
+        assert counts[2] == counts[1]
+
     def test_parallel_report_graph_is_identical(self, files, capsys):
         tmp, netlist, paths = files
         assert main(["report", str(netlist)]

@@ -15,10 +15,9 @@ from repro.obs.blackbox import (
     get_blackbox,
     load_blackbox,
     recording,
-    set_blackbox,
-    thread_recording,
 )
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.observer import Observer, thread_observing
 from repro.obs.validate import validate_blackbox
 from repro.store import TEMP_GLOB
 
@@ -246,15 +245,6 @@ class TestAmbient:
         assert isinstance(box, NullBlackbox)
         assert box.enabled is False
 
-    def test_set_returns_previous(self):
-        recorder = BlackboxRecorder()
-        previous = set_blackbox(recorder)
-        try:
-            assert get_blackbox() is recorder
-        finally:
-            set_blackbox(previous)
-        assert get_blackbox() is previous
-
     def test_recording_scope_restores(self):
         recorder = BlackboxRecorder()
         with recording(recorder) as active:
@@ -266,6 +256,6 @@ class TestAmbient:
         outer = BlackboxRecorder()
         inner = BlackboxRecorder()
         with recording(outer):
-            with thread_recording(inner):
+            with thread_observing(Observer(blackbox=inner)):
                 assert get_blackbox() is inner
             assert get_blackbox() is outer

@@ -17,7 +17,6 @@ from repro.obs.explain import (
     group_subject,
     muted,
     pair_subject,
-    set_decisions,
 )
 
 
@@ -253,15 +252,6 @@ class TestAmbient:
             assert get_decisions() is ledger
         assert not get_decisions().enabled
 
-    def test_set_decisions_returns_previous(self):
-        ledger = DecisionLedger()
-        previous = set_decisions(ledger)
-        try:
-            assert get_decisions() is ledger
-        finally:
-            assert set_decisions(previous) is ledger
-        assert not get_decisions().enabled
-
     def test_muted_suppresses_recording(self):
         ledger = DecisionLedger()
         with explaining(ledger):
@@ -272,6 +262,42 @@ class TestAmbient:
                 get_decisions().decide("mergeability.pair", "pair:A,B")
             assert get_decisions() is ledger
         assert len(ledger) == 1
+
+    def test_overlapping_mutes_on_two_threads_keep_the_global_ledger(self):
+        # A enters, B enters, A exits, B exits: the order in which two
+        # serve runner threads' mock merges can interleave.
+        import threading
+
+        ledger = DecisionLedger()
+        a_in, b_in, a_out = (threading.Event() for _ in range(3))
+        seen = {}
+
+        def thread_a():
+            with muted():
+                a_in.set()
+                b_in.wait(timeout=10)
+            a_out.set()
+
+        def thread_b():
+            a_in.wait(timeout=10)
+            with muted():
+                b_in.set()
+                a_out.wait(timeout=10)
+
+        def fresh_thread():
+            seen["ledger"] = get_decisions()
+
+        with explaining(ledger):
+            threads = [threading.Thread(target=thread_a),
+                       threading.Thread(target=thread_b)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            probe = threading.Thread(target=fresh_thread)
+            probe.start()
+            probe.join()
+        assert seen["ledger"] is ledger
 
 
 class TestKindContract:

@@ -9,10 +9,9 @@ from repro.obs.profile import (
     get_profiler,
     phase_for_span,
     profiling,
-    set_profiler,
     span_summary,
-    thread_profiling,
 )
+from repro.obs.observer import Observer, thread_observing
 from repro.obs.trace import Tracer
 from repro.obs.validate import validate_profile
 
@@ -214,14 +213,6 @@ class TestAmbient:
             assert get_profiler() is profiler
         assert not get_profiler().enabled
 
-    def test_set_profiler_returns_previous(self):
-        profiler = Profiler()
-        previous = set_profiler(profiler)
-        try:
-            assert get_profiler() is profiler
-        finally:
-            set_profiler(previous)
-
     def test_thread_profiling_shadows_per_thread(self):
         import threading
 
@@ -231,7 +222,7 @@ class TestAmbient:
         def worker():
             seen["other_thread"] = get_profiler().enabled
 
-        with thread_profiling(profiler):
+        with thread_observing(Observer(profiler=profiler)):
             assert get_profiler() is profiler
             thread = threading.Thread(target=worker)
             thread.start()

@@ -8,7 +8,6 @@ from repro.obs.trace import (
     NullTracer,
     Tracer,
     get_tracer,
-    set_tracer,
     tracing,
 )
 
@@ -125,15 +124,6 @@ class TestAmbient:
         with tracing(tracer) as active:
             assert active is tracer
             assert get_tracer() is tracer
-        assert not get_tracer().enabled
-
-    def test_set_tracer_returns_previous(self):
-        tracer = Tracer()
-        previous = set_tracer(tracer)
-        try:
-            assert get_tracer() is tracer
-        finally:
-            assert set_tracer(previous) is tracer
         assert not get_tracer().enabled
 
 

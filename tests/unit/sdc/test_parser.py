@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.diagnostics import DegradationPolicy
 from repro.errors import SdcCommandError
 from repro.sdc import (
     ClockGroupKind,
@@ -29,6 +30,7 @@ from repro.sdc import (
     SetPropagatedClock,
     parse_mode,
     parse_sdc,
+    write_mode,
 )
 
 
@@ -242,6 +244,29 @@ class TestParserInfrastructure:
     def test_negative_number_not_an_option(self):
         delay = one("set_input_delay -0.5 -clock c [get_ports in1]")
         assert delay.value == -0.5
+
+    #: A valued option followed by another option: the second ``-clock``
+    #: must not be taken as the first one's value (a clock named
+    #: "-clock" writes back as text that parses to a clockless delay).
+    SWALLOWED = "set_output_delay 0.5 -clock -clock [get_clocks CLK0] out0"
+
+    def test_option_value_must_not_be_an_option(self):
+        with pytest.raises(SdcCommandError, match="option -clock needs a "
+                                                  "value"):
+            parse_mode(self.SWALLOWED)
+
+    def test_option_value_must_not_be_an_option_permissive(self):
+        result = parse_sdc(self.SWALLOWED + "\nset_load 1 out0\n",
+                           policy=DegradationPolicy.PERMISSIVE)
+        assert [c.command for c in result.mode.constraints] == ["set_load"]
+        assert [d.message for d in result.diagnostics
+                if "needs a value" in d.message] != []
+
+    def test_swallowing_line_is_a_write_parse_fixed_point(self):
+        text = self.SWALLOWED + "\nset_load 1 out0\n"
+        first = parse_mode(text, policy=DegradationPolicy.PERMISSIVE)
+        written = write_mode(first)
+        assert write_mode(parse_mode(written)) == written
 
     def test_role_queries(self):
         fp = one("set_false_path -from [all_inputs] -to [all_outputs]")
