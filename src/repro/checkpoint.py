@@ -2,13 +2,14 @@
 
 A design-level merge of a mode-rich SoC can run for a long time; a
 killed run used to lose every completed group.  ``merge_all`` now
-serializes its state after *every* merge group into a schema-versioned
-**JSONL** file: a header line followed by one self-checksummed record
-per completed group, appended with ``fsync`` after every group.  A
-``kill -9`` mid-append can tear at most the final record; on resume the
-torn tail is detected (checksum/JSON damage), the longest valid prefix
-is recovered with an ``SGN009`` diagnostic, and only the torn groups
-recompute — never the whole run, and never silently.
+serializes its state after *every* merge group into a
+:class:`repro.store.RecordLog`: a header line followed by one
+self-checksummed record per completed group, appended with ``fsync``
+after every group.  A ``kill -9`` mid-append can tear at most the final
+record; on resume the torn tail is detected, the longest valid prefix
+is recovered with an ``SGN009`` diagnostic, the damage is cut away, and
+only the torn groups recompute — never the whole run, and never
+silently.
 ``repro-merge merge --checkpoint run.ckpt`` resumes from the last
 completed group.
 
@@ -30,8 +31,6 @@ byte-identical to an uninterrupted run's.
 
 from __future__ import annotations
 
-import json
-import os
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
@@ -40,7 +39,7 @@ from repro.obs.metrics import get_metrics
 from repro.sdc.mode import Mode
 from repro.sdc.parser import parse_mode
 from repro.sdc.writer import write_mode
-from repro.store import atomic_write, record_crc
+from repro.store import RecordLog
 
 #: Version of the checkpoint file layout.  Bump on any incompatible
 #: change; files with a different version are discarded, never guessed at.
@@ -55,9 +54,9 @@ CHECKPOINT_KIND = "repro-checkpoint"
 def serialize_outcome(outcome) -> dict:
     """One ``GroupOutcome`` as a checkpoint-ready JSON entry.
 
-    Shared by :meth:`MergeCheckpoint.record` and the parallel execution
-    path, where forked workers serialize their outcomes before shipping
-    them over the result pipe (a ``MergeResult`` holds a full ``Mode``;
+    Shared by both of ``merge_all``'s execution paths; forked workers
+    serialize their outcomes before shipping them over the result pipe
+    (a ``MergeResult`` holds a full ``Mode``;
     the SDC text + report record round-trip is the proven byte-identical
     representation).
     """
@@ -119,12 +118,11 @@ class MergeCheckpoint:
         self.path = Path(path)
         self.input_hash = input_hash
         self.groups: Dict[str, dict] = {}
-        #: keys recorded since the last save (appended on save)
-        self._unsaved: List[str] = []
-        #: rewrite the whole file on next save: fresh/discarded state,
-        #: a recovered torn tail (the garbage bytes must go), or an
-        #: explicit discard()
-        self._rewrite = True
+        #: records of the groups recorded since the last save
+        self._pending: List[dict] = []
+        self._log = RecordLog(path, CHECKPOINT_KIND,
+                              CHECKPOINT_SCHEMA_VERSION,
+                              input_hash=input_hash)
 
     # ------------------------------------------------------------------
     # persistence
@@ -139,131 +137,72 @@ class MergeCheckpoint:
         discarded with an ``SGN008`` diagnostic — resuming must never be
         less robust than starting over.  A file whose *tail* was torn by
         a crash mid-append is not discarded: the longest valid prefix is
-        recovered with an ``SGN009`` diagnostic and only the torn
-        records recompute.
+        recovered with an ``SGN009`` diagnostic, the damage is cut away
+        and only the torn records recompute.
         """
         checkpoint = cls(path, input_hash)
-        target = Path(path)
-        if not target.exists():
-            return checkpoint
 
-        def _discard(message: str, severity=Severity.WARNING) -> None:
+        def discard(problem: str, severity=Severity.WARNING):
             if collector is not None:
-                collector.report("SGN008", message, severity=severity,
-                                 source=str(target))
+                collector.report(
+                    "SGN008", f"checkpoint {path} {problem}; starting "
+                    f"from scratch", severity=severity, source=str(path))
+            return checkpoint
 
         try:
-            text = target.read_text()
-        except (OSError, UnicodeDecodeError) as exc:
-            _discard(f"checkpoint {target} is unreadable ({exc}); "
-                     f"starting from scratch")
+            read = checkpoint._log.read()
+        except OSError as exc:
+            return discard(f"is unreadable ({exc})")
+        if read is None:
             return checkpoint
-        lines = text.splitlines()
-        header = None
-        if lines:
-            try:
-                header = json.loads(lines[0])
-            except ValueError:
-                header = None
-        if not isinstance(header, dict) \
-                or header.get("kind") != CHECKPOINT_KIND:
-            # Not JSONL — a v1 monolithic snapshot or other damage.
-            try:
-                payload = json.loads(text)
-            except ValueError:
-                _discard(f"checkpoint {target} is unreadable (not a "
-                         f"JSONL checkpoint); starting from scratch")
-                return checkpoint
-            _discard(f"checkpoint {target} has schema version "
-                     f"{payload.get('schema_version')!r}, expected "
-                     f"{CHECKPOINT_SCHEMA_VERSION}; starting from "
-                     f"scratch")
-            return checkpoint
-        if header.get("schema_version") != CHECKPOINT_SCHEMA_VERSION:
-            _discard(f"checkpoint {target} has schema version "
-                     f"{header.get('schema_version')!r}, expected "
-                     f"{CHECKPOINT_SCHEMA_VERSION}; starting from "
-                     f"scratch")
-            return checkpoint
-        if input_hash and header.get("input_hash") \
-                and header["input_hash"] != input_hash:
-            _discard(f"checkpoint {target} was written for different "
-                     f"inputs; starting from scratch", Severity.INFO)
-            return checkpoint
-
-        torn_at = None
-        for lineno, line in enumerate(lines[1:], start=2):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError:
-                torn_at = lineno
-                break
-            if not isinstance(record, dict) or "key" not in record \
-                    or record.get("crc") != record_crc(record):
-                torn_at = lineno
-                break
+        if read.header is None:
+            return discard("is unreadable (not a v2 checkpoint log: a v1 "
+                           "snapshot or other damage)")
+        version = read.header.get("schema_version")
+        if version != CHECKPOINT_SCHEMA_VERSION:
+            return discard(f"has schema version {version!r}, expected "
+                           f"{CHECKPOINT_SCHEMA_VERSION}")
+        written_for = read.header.get("input_hash")
+        if input_hash and written_for and written_for != input_hash:
+            return discard("was written for different inputs",
+                           Severity.INFO)
+        for record in read.records:
             # Append wins: a resumed run re-records a stale group by
             # appending, so the last occurrence of a key is the truth.
-            checkpoint.groups[record["key"]] = {
-                k: v for k, v in record.items()
-                if k not in ("key", "crc")}
-        if torn_at is not None:
-            # Longest valid prefix recovered; everything from the first
-            # damaged line on is dropped and will recompute.
+            key = record.pop("key", None)
+            record.pop("crc")
+            if key is not None:
+                checkpoint.groups[key] = record
+        if read.damage is not None:
+            # Everything from the first damaged line on is dropped and
+            # will recompute.
             get_metrics().inc("checkpoint.torn_tail_recoveries")
             if collector is not None:
-                torn = len([ln for ln in lines[torn_at - 1:]
-                            if ln.strip()])
                 collector.report(
                     "SGN009",
-                    f"checkpoint {target} tail is torn at line "
-                    f"{torn_at} (crash mid-append); recovered "
+                    f"checkpoint {path} tail is torn at line "
+                    f"{read.damage} (crash mid-append); recovered "
                     f"{len(checkpoint.groups)} group(s), discarded "
-                    f"{torn} damaged line(s)",
-                    severity=Severity.WARNING, source=str(target))
-        else:
-            # Clean file: future saves may append instead of rewriting.
-            checkpoint._rewrite = False
+                    f"{read.damaged_lines} damaged line(s)",
+                    severity=Severity.WARNING, source=str(path))
+        try:
+            checkpoint._log.resume(read)
+        except OSError:
+            pass  # not writable now: the first save starts it over
         return checkpoint
-
-    def _header_line(self) -> str:
-        return json.dumps({
-            "kind": CHECKPOINT_KIND,
-            "schema_version": CHECKPOINT_SCHEMA_VERSION,
-            "input_hash": self.input_hash,
-        }, sort_keys=True)
-
-    def _record_line(self, key: str) -> str:
-        record = dict(self.groups[key])
-        record["key"] = key
-        record["crc"] = record_crc(record)
-        return json.dumps(record, sort_keys=True)
 
     def save(self) -> None:
         """Durable incremental save: fsync before the caller proceeds.
 
-        The steady state appends only the records recorded since the
-        last save and fsyncs — a crash can tear at most the final
-        record, which :meth:`open` recovers from.  The first save after
-        a fresh/discarded/torn open rewrites the whole file with
-        :func:`~repro.store.atomic_write` so stale bytes never shadow
-        good state.
+        Appends the groups recorded since the last save, so a crash can
+        tear at most the final record (:meth:`open` recovers from that).
+        A fresh or discarded checkpoint is written whole, all-or-nothing.
         """
-        if self._rewrite:
-            lines = [self._header_line()]
-            lines.extend(self._record_line(key) for key in self.groups)
-            atomic_write(self.path, "\n".join(lines) + "\n")
-            self._rewrite = False
-        elif self._unsaved:
-            with open(self.path, "a", encoding="utf-8") as handle:
-                for key in self._unsaved:
-                    if key in self.groups:
-                        handle.write(self._record_line(key) + "\n")
-                handle.flush()
-                os.fsync(handle.fileno())
-        self._unsaved = []
+        if not self._log.started:
+            self._pending = [dict(entry, key=key)
+                             for key, entry in self.groups.items()]
+        self._log.append(self._pending)
+        self._pending = []
         get_metrics().inc("checkpoint.saves")
         # The flight recorder keeps the latest checkpoint state so a
         # crash's blackbox.json says how much work is already durable.
@@ -277,24 +216,17 @@ class MergeCheckpoint:
     # ------------------------------------------------------------------
     # record / restore
     # ------------------------------------------------------------------
-    def record(self, key: str, group_hash: str, outcomes,
-               diagnostics: Sequence[Diagnostic]) -> None:
-        """Store the final outcomes one analysis group produced."""
-        self.record_serialized(
-            key, group_hash,
-            [serialize_outcome(outcome) for outcome in outcomes],
-            [d.to_dict() for d in diagnostics])
-
     def record_serialized(self, key: str, group_hash: str,
                           outcomes: Sequence[dict],
                           diagnostics: Sequence[dict]) -> None:
-        """Store already-serialized outcomes (the parallel-worker path)."""
-        self.groups[key] = {
+        """Store one analysis group's serialized final outcomes."""
+        entry = {
             "hash": group_hash,
             "outcomes": list(outcomes),
             "diagnostics": list(diagnostics),
         }
-        self._unsaved.append(key)
+        self.groups[key] = entry
+        self._pending.append(dict(entry, key=key))
 
     def lookup(self, key: str, group_hash: str) -> Optional[dict]:
         """The stored entry for a group, or None when absent/stale."""
@@ -304,11 +236,6 @@ class MergeCheckpoint:
             return None
         get_metrics().inc("checkpoint.hits")
         return entry
-
-    def discard(self, key: str) -> None:
-        if self.groups.pop(key, None) is not None:
-            # Appending cannot un-record a key; rewrite on next save.
-            self._rewrite = True
 
     @staticmethod
     def restore_outcome(stored: dict):

@@ -295,22 +295,38 @@ class OracleBattery:
         with tempfile.TemporaryDirectory(prefix="repro-fuzz-ckpt-") \
                 as tmp:
             path = Path(tmp) / "run.ckpt"
-            self._merged(netlist, modes,
-                         checkpoint=MergeCheckpoint.open(
-                             str(path), input_hash=input_hash))
-            # Simulated kill: keep the header plus roughly half of the
-            # completed-group records, exactly what a SIGKILL between
-            # appends leaves behind.
+
+            def resume(collector=None):
+                return self._merged(netlist, modes,
+                                    checkpoint=MergeCheckpoint.open(
+                                        str(path), input_hash=input_hash,
+                                        collector=collector))
+
+            resume()
+            # Simulated kill mid-append: keep the header plus roughly
+            # half of the completed-group records, then half of the next
+            # record's line, exactly what a SIGKILL leaves behind.
             lines = path.read_text().splitlines(keepends=True)
             keep = 1 + max(0, (len(lines) - 1) // 2)
-            path.write_text("".join(lines[:keep]))
-            resumed, _ = self._merged(
-                netlist, modes,
-                checkpoint=MergeCheckpoint.open(
-                    str(path), input_hash=input_hash))
-        return self._diff("checkpoint", base,
-                          self._broken("checkpoint", resumed),
-                          "after checkpoint kill/resume")
+            torn = "".join(lines[keep:keep + 1])
+            path.write_text("".join(lines[:keep]) + torn[:len(torn) // 2])
+            resumed, _ = resume()
+            # The resume recomputed and saved the torn groups: a second
+            # resume replays every group from a clean file.
+            collector = DiagnosticCollector()
+            _, again = resume(collector)
+        violations = self._diff("checkpoint", base,
+                                self._broken("checkpoint", resumed),
+                                "after checkpoint kill/resume")
+        if collector.diagnostics \
+                or again.restored_count != len(again.outcomes):
+            violations.append(Violation(
+                "checkpoint",
+                f"second resume restored {again.restored_count} of "
+                f"{len(again.outcomes)} outcome(s) with diagnostics "
+                f"{[d.code for d in collector.diagnostics]}",
+                tuple(sorted(m.name for m in modes))))
+        return violations
 
     def _oracle_scan(self, case, netlist, modes, baseline
                      ) -> List[Violation]:

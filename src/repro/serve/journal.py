@@ -3,11 +3,12 @@
 Every job state transition the service acknowledges is first appended
 here and pushed to disk (``flush`` + ``os.fsync``) before the caller
 proceeds — kill -9 at any instant loses at most the record being
-written, never an acked one.  The format mirrors the v2 merge
-checkpoint: a header line naming the schema, then one JSON object per
-line carrying a content checksum.  A torn tail (partial last line from
-a crash mid-write) is detected on recovery, reported (``SRV004``), and
-truncated away so appends continue on a clean boundary.
+written, never an acked one.  The file is a :class:`repro.store.RecordLog`,
+the same log the merge checkpoint uses: a header line naming the schema,
+then one JSON object per line carrying a content checksum.  A torn tail
+(partial last line from a crash mid-write) is detected on recovery,
+reported (``SRV004``), and truncated away so appends continue on a
+clean boundary.
 
 Chaos: under ``REPRO_CHAOS`` the append path itself is a strike point
 (key ``serve:journal:<event>``) — any matching fault is surfaced as a
@@ -19,15 +20,13 @@ running; a diagnostic is recorded).
 
 from __future__ import annotations
 
-import json
-import os
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.errors import ServeError
 from repro.exec.chaos import ChaosPlan
 from repro.obs.metrics import get_metrics
-from repro.store import record_crc
+from repro.store import RecordLog
 
 JOURNAL_KIND = "repro-serve-journal"
 JOURNAL_SCHEMA_VERSION = 1
@@ -53,7 +52,7 @@ class JobJournal:
         self.chaos = chaos
         #: per-event append attempts in this process, for chaos matching
         self._attempts: Dict[str, int] = {}
-        self._fh = None
+        self._log = RecordLog(path, JOURNAL_KIND, JOURNAL_SCHEMA_VERSION)
 
     # -- recovery ----------------------------------------------------------
 
@@ -66,85 +65,36 @@ class JobJournal:
         with debris.  A bad line followed by good ones means real
         corruption and raises :class:`JournalError`.
         """
-        if not self.path.exists():
+        read = self._log.read()
+        if read is None:
             return [], 0
-        raw = self.path.read_bytes()
-        records: List[dict] = []
-        good_bytes = 0
-        torn = 0
-        offset = 0
-        line_no = 0
-        saw_header = False
-        while offset < len(raw):
-            newline = raw.find(b"\n", offset)
-            line_no += 1
-            if newline == -1:
-                torn = 1  # unterminated tail: the crash-mid-write signature
-                break
-            line = raw[offset:newline]
-            record = self._parse_line(line, header=not saw_header)
-            if record is None:
-                if raw[newline + 1:].strip():
-                    raise JournalError(
-                        "recover",
-                        f"corrupt record at line {line_no} of {self.path}")
-                torn = 1
-                break
-            if not saw_header:
-                saw_header = True
-            elif record.get("event"):
-                records.append(record)
-            offset = newline + 1
-            good_bytes = offset
-        if torn:
-            with open(self.path, "r+b") as fh:
-                fh.truncate(good_bytes)
-                fh.flush()
-                os.fsync(fh.fileno())
-            get_metrics().inc("serve.journal_torn_records", torn)
-        return records, torn
-
-    def _parse_line(self, line: bytes, header: bool) -> Optional[dict]:
-        try:
-            record = json.loads(line.decode())
-        except (ValueError, UnicodeDecodeError):
-            return None
-        if not isinstance(record, dict):
-            return None
-        if header:
-            if record.get("kind") != JOURNAL_KIND:
-                return None
-            if record.get("schema_version") != JOURNAL_SCHEMA_VERSION:
-                raise JournalError(
-                    "recover",
-                    f"unsupported journal schema "
-                    f"{record.get('schema_version')!r} in {self.path}")
-            return record
-        if record.get("crc") != record_crc(record):
-            return None
-        return record
+        version = (read.header or {}).get("schema_version",
+                                          JOURNAL_SCHEMA_VERSION)
+        if version != JOURNAL_SCHEMA_VERSION:
+            raise JournalError("recover", f"unsupported journal schema "
+                               f"{version!r} in {self.path}")
+        if read.valid_after:
+            raise JournalError("recover", f"corrupt record at line "
+                               f"{read.damage} of {self.path}")
+        self._log.resume(read)
+        if read.damaged_lines:
+            get_metrics().inc("serve.journal_torn_records",
+                              read.damaged_lines)
+        return ([record for record in read.records if record.get("event")],
+                read.damaged_lines)
 
     # -- append ------------------------------------------------------------
 
     def open(self) -> None:
-        """Open (creating with a header if new) for appends."""
-        if self._fh is not None:
-            return
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        fresh = not self.path.exists() or self.path.stat().st_size == 0
-        self._fh = open(self.path, "a", encoding="utf-8")
-        if fresh:
-            header = {"kind": JOURNAL_KIND,
-                      "schema_version": JOURNAL_SCHEMA_VERSION}
-            self._fh.write(json.dumps(header, sort_keys=True) + "\n")
-            self._flush()
+        """Ready for appends: recover the file, or start it with a header."""
+        if not self._log.started:
+            self.recover()
+        if not self._log.started:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            self._log.append([])
 
     def close(self) -> None:
-        if self._fh is not None:
-            try:
-                self._fh.close()
-            finally:
-                self._fh = None
+        """Nothing stays open: every append opens, syncs and closes."""
 
     def append(self, event: str, job: Optional[str] = None,
                **fields) -> dict:
@@ -162,18 +112,12 @@ class JobJournal:
         record["event"] = event
         if job is not None:
             record["job"] = job
-        record["crc"] = record_crc(record)
         try:
-            self._fh.write(json.dumps(record, sort_keys=True) + "\n")
-            self._flush()
+            self._log.append([record])
         except OSError as exc:
             raise JournalError(event, str(exc)) from exc
         get_metrics().inc("serve.journal_appends")
         return record
-
-    def _flush(self) -> None:
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
 
     def _strike(self, event: str) -> None:
         if self.chaos is None:

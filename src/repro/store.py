@@ -2,9 +2,10 @@
 
 One home for content keys (hashes, fingerprints, and the pair and group
 keys of a (netlist, merge-options) key space), the self-checksum of a
-JSON record, all-or-nothing file replacement and the kernel write lock.
-A group key is both the result cache's entry name and the merge
-checkpoint's per-group staleness hash.
+JSON record, all-or-nothing file replacement, the append-only record
+log and the kernel write lock.  A group key is both the result cache's
+entry name and the merge checkpoint's per-group staleness hash; the
+record log holds both the merge checkpoint and the serve job journal.
 """
 
 from __future__ import annotations
@@ -15,8 +16,9 @@ import json
 import os
 import tempfile
 import time
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import List, Optional, Sequence, Union
 
 #: Suffix of :func:`atomic_write`'s temp files; ``TEMP_GLOB`` matches
 #: any of them left in a directory.
@@ -135,6 +137,115 @@ def atomic_write(path: Union[str, Path], data: Union[bytes, str]) -> None:
             pass
         raise
     _fsync_dir(directory)
+
+
+# ---------------------------------------------------------------------------
+# append-only record log
+# ---------------------------------------------------------------------------
+@dataclass
+class LogRead:
+    """What :meth:`RecordLog.read` found: the longest valid prefix (its
+    ``header``, ``records`` and byte length ``end``) and the damage after
+    it."""
+
+    #: None when line 1 is not this log's header
+    header: Optional[dict]
+    records: List[dict] = field(default_factory=list)
+    end: int = 0
+    #: 1-based line where the damage starts; None for a clean file
+    damage: Optional[int] = None
+    #: non-empty lines from the damage on
+    damaged_lines: int = 0
+    #: a valid record follows the damage: corruption, not a torn tail
+    valid_after: bool = False
+
+
+class RecordLog:
+    """An append-only JSON-lines file of self-checksummed records.
+
+    Line 1 is the header ``{"kind", "schema_version", **extra}``; each
+    other line is one ``json.dumps(record, sort_keys=True)`` carrying
+    its :func:`record_crc` as ``crc``.  A line is valid only when it
+    ends in a newline, parses to a JSON object and its crc matches, so
+    a crash mid-append tears at most the last line.  What damage after
+    the valid prefix means (recover, discard or refuse) is the caller's
+    policy.
+    """
+
+    def __init__(self, path: Union[str, Path], kind: str,
+                 schema_version: int, **extra):
+        self.path = Path(path)
+        self.header = {"kind": kind, "schema_version": schema_version,
+                       **extra}
+        #: the file ends on a record boundary after a header: appends
+        #: add to it.  Until then an append starts the file over.
+        self.started = False
+
+    def _parse(self, line: bytes, header: bool = False) -> Optional[dict]:
+        try:
+            record = json.loads(line)
+        except ValueError:
+            return None
+        if not isinstance(record, dict):
+            return None
+        valid = record.get("kind") == self.header["kind"] if header \
+            else record.get("crc") == record_crc(record)
+        return record if valid else None
+
+    def read(self) -> Optional[LogRead]:
+        """The file's valid prefix and damage; None when there is no
+        file.  The caller judges the header's ``schema_version``."""
+        try:
+            raw = self.path.read_bytes()
+        except FileNotFoundError:
+            return None
+        # Bytes after the last newline are an unterminated, torn line.
+        lines = raw.split(b"\n")[:-1]
+        prefix: List[dict] = []
+        for line in lines:
+            record = self._parse(line, header=not prefix)
+            if record is None:
+                break
+            prefix.append(record)
+        read = LogRead(prefix[0] if prefix else None, prefix[1:],
+                       sum(len(line) + 1 for line in lines[:len(prefix)]))
+        if read.end < len(raw):
+            read.damage = len(prefix) + 1
+            read.damaged_lines = sum(
+                1 for line in raw[read.end:].split(b"\n") if line.strip())
+            read.valid_after = any(self._parse(line) is not None
+                                   for line in lines[len(prefix) + 1:])
+        return read
+
+    def resume(self, read: LogRead) -> None:
+        """Append after ``read``'s prefix, first cutting the damage
+        after it away (``fsync``'d)."""
+        if read.damage is not None:
+            with open(self.path, "r+b") as handle:
+                handle.truncate(read.end)
+                os.fsync(handle.fileno())
+        self.started = read.header is not None
+
+    def append(self, records: Sequence[dict]) -> None:
+        """Durably add ``records``, stamping each one's ``crc`` in place.
+
+        The lines are written, flushed and ``fsync``'d before this
+        returns.  A log not yet started is written whole instead, header
+        first, with :func:`atomic_write`.
+        """
+        for record in records:
+            record["crc"] = record_crc(record)
+        data = "".join(json.dumps(record, sort_keys=True) + "\n"
+                       for record in records)
+        if not self.started:
+            atomic_write(self.path,
+                         json.dumps(self.header, sort_keys=True) + "\n" + data)
+            self.started = True
+        elif data:
+            with open(self.path, "a", encoding="utf-8") as handle:
+                handle.write(data)
+                handle.flush()
+                os.fsync(handle.fileno())
 
 
 # ---------------------------------------------------------------------------

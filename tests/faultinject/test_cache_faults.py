@@ -161,10 +161,10 @@ class TestFullDisk:
                                ServeConfig(runners=1, jobs=1), chaos=None)
         service.start()
         try:
-            def full_disk():
+            def full_disk(records):
                 raise OSError(errno.ENOSPC, "No space left on device")
 
-            monkeypatch.setattr(service.journal, "_flush", full_disk)
+            monkeypatch.setattr(service.journal._log, "append", full_disk)
             with pytest.raises(AdmissionError) as excinfo:
                 service.submit({"netlist": NETLIST_V,
                                 "modes": {"modeA": MODE_A,

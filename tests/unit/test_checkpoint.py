@@ -4,7 +4,11 @@ import json
 
 import pytest
 
-from repro.checkpoint import CHECKPOINT_SCHEMA_VERSION, MergeCheckpoint
+from repro.checkpoint import (
+    CHECKPOINT_SCHEMA_VERSION,
+    MergeCheckpoint,
+    serialize_outcome,
+)
 from repro.core import merge_all, merge_modes
 from repro.core.merger import MergeOptions
 from repro.diagnostics import (
@@ -67,6 +71,14 @@ class TestOpen:
     def test_corrupt_file_is_discarded_with_sgn008(self, tmp_path):
         path = tmp_path / "run.ckpt"
         path.write_text("{not json")
+        collector = DiagnosticCollector()
+        checkpoint = MergeCheckpoint.open(path, collector=collector)
+        assert checkpoint.groups == {}
+        assert [d.code for d in collector] == ["SGN008"]
+
+    def test_non_object_json_is_discarded_with_sgn008(self, tmp_path):
+        path = tmp_path / "run.ckpt"
+        path.write_text("[1]")
         collector = DiagnosticCollector()
         checkpoint = MergeCheckpoint.open(path, collector=collector)
         assert checkpoint.groups == {}
@@ -145,7 +157,9 @@ class TestRecordRestore:
         Outcome.result = result
         diag = Diagnostic(code="SGN003", message="m",
                           severity=Severity.WARNING, source="A")
-        checkpoint.record("A+B", "g1", [Outcome()], [diag])
+        checkpoint.record_serialized("A+B", "g1",
+                                     [serialize_outcome(Outcome())],
+                                     [diag.to_dict()])
         checkpoint.save()
 
         reloaded = MergeCheckpoint.open(tmp_path / "run.ckpt")
@@ -163,13 +177,6 @@ class TestRecordRestore:
         assert restored.to_dict() == result.to_dict()
         restored_diags = MergeCheckpoint.restore_diagnostics(entry)
         assert restored_diags == [diag]
-
-    def test_discard(self, tmp_path):
-        checkpoint = MergeCheckpoint(tmp_path / "run.ckpt")
-        checkpoint.groups["A"] = {"hash": "h", "outcomes": []}
-        checkpoint.discard("A")
-        checkpoint.discard("never-existed")
-        assert checkpoint.groups == {}
 
 
 class TestMergeAllIntegration:
@@ -272,3 +279,31 @@ class TestTornTail:
                           checkpoint=MergeCheckpoint.open(path))
         assert again.restored_count == 2
         assert _sdc(again) == _sdc(uninterrupted)
+
+    def test_unterminated_last_record_is_torn_not_appended_onto(
+            self, tmp_path):
+        # A record whose newline never reached the disk is torn: it is
+        # cut away on open, so the next append starts on a clean line
+        # and no record is lost to a glued-together line.
+        path = tmp_path / "run.ckpt"
+        checkpoint = MergeCheckpoint(path, input_hash="h")
+        for key in ("A", "B"):
+            checkpoint.record_serialized(key, f"g{key}", [], [])
+            checkpoint.save()
+        path.write_bytes(path.read_bytes()[:-1])
+
+        collector = DiagnosticCollector()
+        resumed = MergeCheckpoint.open(path, input_hash="h",
+                                       collector=collector)
+        assert [d.code for d in collector] == ["SGN009"]
+        assert list(resumed.groups) == ["A"]
+        for key in ("B", "C"):
+            resumed.record_serialized(key, f"g{key}", [], [])
+            resumed.save()
+
+        collector = DiagnosticCollector()
+        again = MergeCheckpoint.open(path, input_hash="h",
+                                     collector=collector)
+        assert collector.diagnostics == []
+        assert {key: entry["hash"] for key, entry in again.groups.items()} \
+            == {"A": "gA", "B": "gB", "C": "gC"}

@@ -4,10 +4,16 @@ The lock tests are the regression pins for mutual exclusion: a kernel
 ``flock`` must admit one holder at a time between threads of one
 process and between processes, and a holder killed with ``SIGKILL``
 must not block the next acquire.
+
+The record-log tests pin the byte-level contract the merge checkpoint
+and the serve job journal share; the golden files under ``golden/``
+pin both on-disk formats.
 """
 
 import errno
+import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -20,9 +26,13 @@ import pytest
 
 import repro
 from repro.cache import ResultCache
+from repro.checkpoint import MergeCheckpoint
 from repro.diagnostics import DiagnosticCollector
 from repro.exec.chaos import ChaosPlan
-from repro.store import TEMP_GLOB, FileLock, atomic_write
+from repro.serve.journal import JobJournal
+from repro.store import TEMP_GLOB, FileLock, RecordLog, atomic_write
+
+GOLDEN = Path(__file__).parent / "golden"
 
 #: Holder-side loop of the cross-process stress test: every critical
 #: section appends an enter and an exit line to a shared log.
@@ -162,3 +172,170 @@ class TestAtomicWrite:
         assert not list(tmp_path.glob(TEMP_GLOB))
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out.json"]
 
+
+
+def _log(path):
+    return RecordLog(path, "test-log", 1, owner="tests")
+
+
+def _written(path, *batches):
+    """A started log holding ``batches``, one append each."""
+    log = _log(path)
+    for batch in batches:
+        log.append([dict(record) for record in batch])
+    return log
+
+
+class TestRecordLog:
+    def test_round_trip(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        log = _written(path, [{"n": 1}, {"n": 2}], [{"n": 3, "xs": [1]}])
+        lines = path.read_text().splitlines()
+        assert json.loads(lines[0]) == {"kind": "test-log",
+                                        "schema_version": 1,
+                                        "owner": "tests"}
+        assert lines[1] == json.dumps(json.loads(lines[1]), sort_keys=True)
+        read = _log(path).read()
+        assert read.header == log.header
+        assert [r["n"] for r in read.records] == [1, 2, 3]
+        assert all(r["crc"] for r in read.records)
+        assert (read.end, read.damage) == (path.stat().st_size, None)
+
+    def test_missing_file_reads_none_and_empty_file_has_no_header(
+            self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        assert _log(path).read() is None
+        path.write_bytes(b"")
+        read = _log(path).read()
+        assert (read.header, read.records, read.damage) == (None, [], None)
+
+    @pytest.mark.parametrize("tail", [
+        b'{"n": 3, "cr',                      # unterminated
+        json.dumps({"n": 3}).encode(),         # whole, but no newline
+        b"garbage\n\x00\xff\n",               # terminated garbage
+    ])
+    def test_torn_tail_is_truncated_to_the_boundary(self, tmp_path, tail):
+        path = tmp_path / "log.jsonl"
+        _written(path, [{"n": 1}, {"n": 2}])
+        good = path.read_bytes()
+        path.write_bytes(good + tail)
+
+        log = _log(path)
+        read = log.read()
+        assert [r["n"] for r in read.records] == [1, 2]
+        assert (read.end, read.damage, read.valid_after) == \
+            (len(good), 4, False)
+        assert read.damaged_lines == len(tail.strip().split(b"\n"))
+        log.resume(read)
+        assert path.read_bytes() == good
+        log.append([{"n": 3}])
+        read = _log(path).read()
+        assert [r["n"] for r in read.records] == [1, 2, 3]
+        assert read.damage is None
+
+    def test_bad_crc_tail_is_truncated(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        _written(path, [{"n": 1}])
+        good = path.read_bytes()
+        record = {"n": 2, "crc": "0" * 16}
+        path.write_bytes(good + json.dumps(record).encode() + b"\n")
+
+        read = _log(path).read()
+        assert [r["n"] for r in read.records] == [1]
+        assert (read.damage, read.damaged_lines, read.valid_after) == \
+            (3, 1, False)
+
+    def test_damage_followed_by_valid_records_is_reported(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        _written(path, [{"n": 1}, {"n": 2}, {"n": 3}])
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[2] = b'{"mangled\n'
+        path.write_bytes(b"".join(lines))
+
+        read = _log(path).read()
+        assert [r["n"] for r in read.records] == [1]
+        assert (read.damage, read.damaged_lines, read.valid_after) == \
+            (3, 2, True)
+
+    def test_edited_record_fails_its_crc(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        _written(path, [{"seq": 1}])
+        path.write_text(path.read_text().replace('"seq": 1', '"seq": 2'))
+        read = _log(path).read()
+        assert read.records == []
+        assert (read.damage, read.damaged_lines) == (2, 1)
+
+    def test_header_of_wrong_kind_or_version_is_reported(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        RecordLog(path, "other-log", 1).append([{"n": 1}])
+        read = _log(path).read()
+        assert (read.header, read.damage, read.valid_after) == \
+            (None, 1, True)
+        RecordLog(path, "test-log", 99).append([{"n": 1}])
+        read = _log(path).read()
+        assert read.header["schema_version"] == 99
+        assert read.damage is None
+
+    def test_unstarted_log_starts_the_file_over(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        path.write_bytes(b"left over\n")
+        _written(path, [{"n": 1}])
+        read = _log(path).read()
+        assert read.header is not None
+        assert [r["n"] for r in read.records] == [1]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["log.jsonl"]
+
+
+class TestGoldenFiles:
+    """The checkpoint and journal formats, pinned byte for byte.
+
+    ``golden/checkpoint_v2.ckpt`` is a two-group checkpoint that
+    ``merge_all`` wrote for the ``pipeline_netlist`` modes A, B and C
+    (input hash ``golden-inputs``); ``golden/journal_v1.jsonl`` is a
+    journal of one job's ``submit``, ``admit``, ``start`` and
+    ``finish``.  Both were written before the two files shared
+    :class:`~repro.store.RecordLog`.
+    """
+
+    @staticmethod
+    def lines(name):
+        return [json.loads(line)
+                for line in (GOLDEN / name).read_text().splitlines()]
+
+    def test_checkpoint_reads_and_rewrites_identically(self, tmp_path):
+        golden = GOLDEN / "checkpoint_v2.ckpt"
+        shutil.copy(golden, tmp_path / "old.ckpt")
+        collector = DiagnosticCollector()
+        checkpoint = MergeCheckpoint.open(tmp_path / "old.ckpt",
+                                          input_hash="golden-inputs",
+                                          collector=collector)
+        assert collector.diagnostics == []
+        expected = {record["key"]: {k: v for k, v in record.items()
+                                    if k not in ("key", "crc")}
+                    for record in self.lines(golden.name)[1:]}
+        assert list(checkpoint.groups) == ["A+B", "C"]
+        assert checkpoint.groups == expected
+
+        replay = MergeCheckpoint(tmp_path / "new.ckpt",
+                                 input_hash="golden-inputs")
+        for key, entry in checkpoint.groups.items():
+            replay.record_serialized(key, entry["hash"], entry["outcomes"],
+                                     entry["diagnostics"])
+            replay.save()
+        assert (tmp_path / "new.ckpt").read_bytes() == golden.read_bytes()
+
+    def test_journal_reads_and_rewrites_identically(self, tmp_path):
+        golden = GOLDEN / "journal_v1.jsonl"
+        shutil.copy(golden, tmp_path / "old.jsonl")
+        records, torn = JobJournal(tmp_path / "old.jsonl").recover()
+        assert torn == 0
+        assert records == self.lines(golden.name)[1:]
+        assert [r["event"] for r in records] == \
+            ["submit", "admit", "start", "finish"]
+
+        replay = JobJournal(tmp_path / "new.jsonl")
+        for record in records:
+            fields = {k: v for k, v in record.items()
+                      if k not in ("crc", "event", "job")}
+            replay.append(record["event"], job=record["job"], **fields)
+        assert (tmp_path / "new.jsonl").read_bytes() == golden.read_bytes()
