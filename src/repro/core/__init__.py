@@ -49,6 +49,7 @@ from repro.core.steps import Conflict, MergeContext, StepReport
 from repro.core.watchdog import WatchdogBudget
 from repro.core.three_pass import (
     ComparisonEntry,
+    IndividualRows,
     ThreePassOutcome,
     ThreePassRefiner,
     classify,
@@ -64,6 +65,7 @@ __all__ = [
     "EquivalenceReport",
     "GroupOutcome",
     "GuardedOutcome",
+    "IndividualRows",
     "MergeContext",
     "MergeOptions",
     "MergeResult",

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.steps import MergeContext
-from repro.core.three_pass import ThreePassRefiner
+from repro.core.three_pass import IndividualRows, ThreePassRefiner
 from repro.core.watchdog import WatchdogBudget
 from repro.netlist.netlist import Netlist
 from repro.sdc.mode import Mode
@@ -51,11 +51,17 @@ class EquivalenceReport:
 
 
 def check_equivalence(context: MergeContext,
-                      budget: Optional[WatchdogBudget] = None
+                      budget: Optional[WatchdogBudget] = None, *,
+                      individual_rows: Optional[IndividualRows] = None
                       ) -> EquivalenceReport:
-    """Check a merge context's merged mode against its individual modes."""
+    """Check a merge context's merged mode against its individual modes.
+
+    ``individual_rows`` may reuse the refinement's individual-side rows
+    (used only while they serve ``context``, see :class:`IndividualRows`);
+    the merged side is always bound and extracted afresh.
+    """
     refiner = ThreePassRefiner(context, max_iterations=1, apply_fixes=False,
-                               budget=budget)
+                               budget=budget, individual_rows=individual_rows)
     outcome = refiner.run()
     return EquivalenceReport(
         equivalent=not outcome.residuals,

@@ -28,7 +28,11 @@ from repro.core.drive_load import merge_drive_load
 from repro.core.exceptions_merge import merge_exceptions
 from repro.core.external_delays import merge_external_delays
 from repro.core.steps import Conflict, MergeContext, StepReport
-from repro.core.three_pass import ThreePassOutcome, run_three_pass
+from repro.core.three_pass import (
+    IndividualRows,
+    ThreePassOutcome,
+    run_three_pass,
+)
 from repro.core.watchdog import WatchdogBudget
 from repro.diagnostics import DegradationPolicy
 from repro.errors import MergeStepError, RefinementError
@@ -212,7 +216,7 @@ def merge_modes(netlist: Netlist, modes: Sequence[Mode],
     metrics = get_metrics()
     ledger = get_decisions()
 
-    def step(step_name, fn, *args):
+    def step(step_name, fn, *args, **kwargs):
         """Run one pipeline stage with per-step fault isolation.
 
         Under a recovery policy a raising step becomes a
@@ -233,10 +237,10 @@ def merge_modes(netlist: Netlist, modes: Sequence[Mode],
                         attrs["budget_remaining_s"] = round(remaining, 3)
                 span.annotate(**attrs)
             if policy is DegradationPolicy.STRICT:
-                out = fn(*args)
+                out = fn(*args, **kwargs)
             else:
                 try:
-                    out = fn(*args)
+                    out = fn(*args, **kwargs)
                 except MergeStepError:
                     raise
                 except Exception as exc:
@@ -269,8 +273,12 @@ def merge_modes(netlist: Netlist, modes: Sequence[Mode],
 
         # --- merged-mode refinement (3.2) ---
         step("data_refinement", refine_data_clocks, context)
+        # One individual side for the refinement and the Section 2
+        # check; it lives in this call only.
+        rows = IndividualRows()
         _report, outcome = step("three_pass", run_three_pass, context,
-                                opts.max_iterations, budget)
+                                opts.max_iterations, budget,
+                                individual_rows=rows)
 
         result = MergeResult(
             merged=context.merged,
@@ -282,7 +290,7 @@ def merge_modes(netlist: Netlist, modes: Sequence[Mode],
             from repro.core.equivalence import check_equivalence
 
             check = step("equivalence_validation", check_equivalence,
-                         context, budget)
+                         context, budget, individual_rows=rows)
             result.validated = True
             result.validation_mismatches = check.mismatches
 

@@ -28,7 +28,7 @@ clean pass — the "in-built validation" the paper advertises.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.core.steps import MergeContext, StepReport
 from repro.core.watchdog import WatchdogBudget
@@ -38,6 +38,7 @@ from repro.obs.provenance import RULE_DERIVED
 from repro.obs.trace import get_tracer
 from repro.sdc.commands import (
     Constraint,
+    EXCEPTION_TYPES,
     ObjectRef,
     PathSpec,
     SetFalsePath,
@@ -45,10 +46,9 @@ from repro.sdc.commands import (
     SetMinDelay,
     SetMulticyclePath,
 )
-from repro.timing.clocks import ClockPropagation
 from repro.timing.graph import ARC_LAUNCH
 from repro.timing.relationships import RelationshipExtractor
-from repro.timing.states import FALSE, RelState, VALID
+from repro.timing.states import RelState
 
 StateSet = FrozenSet[RelState]
 EMPTY: StateSet = frozenset()
@@ -252,12 +252,115 @@ class ThreePassOutcome:
         return not self.residuals
 
 
+def _structure_key(context: MergeContext) -> tuple:
+    """What individual-side rows read of one merge context besides its
+    individual modes: the clock maps and the merged mode's constraints
+    other than path exceptions (liveness, clock network, I/O delays,
+    clocks and clock groups)."""
+    return (tuple(sorted((name, tuple(sorted(mapping.items())))
+                         for name, mapping in context.clock_maps.items())),
+            tuple(c for c in context.merged
+                  if not isinstance(c, EXCEPTION_TYPES)))
+
+
+class IndividualRows:
+    """The individual side of one merge group's relationship comparison.
+
+    Individual-mode extractors walk the *merged* structure so their rows
+    align path-for-path with the merged mode's rows (paths the merged
+    mode has but a mode kills contribute FALSE — see
+    repro.timing.relationships), keyed in merged clock names.  The rows
+    read the merged mode's structure but none of its path exceptions,
+    the only constraints refinement adds, so one value serves every
+    fix-loop iteration and the Section 2 check of the same group.
+
+    The first :meth:`align` binds the value to a context and records its
+    structure key; later calls are true only for the same context with
+    the same key.  Each pass's rows are extracted once and memoized:
+    pass 1 whole, pass 2 per endpoint set, pass 3 per
+    ``(sp, ep, chain, edge filter)``.
+    """
+
+    def __init__(self) -> None:
+        self.context: Optional[MergeContext] = None
+        self.key: Optional[tuple] = None
+        #: the merged mode's structure the extractors walk
+        self.structure = None
+        self.extractors: List[RelationshipExtractor] = []
+        self._pass1: Optional[Dict] = None
+        self._pass2: Dict[FrozenSet[str], Dict] = {}
+        self._pass3: Dict[tuple, Dict] = {}
+
+    def align(self, context: MergeContext) -> bool:
+        """Bind to ``context`` on first use; afterwards True only while
+        the context and its structure key are unchanged."""
+        key = _structure_key(context)
+        if self.context is None:
+            self.context, self.key = context, key
+            self.structure = context.bind_merged()
+            self.extractors = [
+                RelationshipExtractor(bound, structure=self.structure,
+                                      clock_map=context.clock_maps[mode.name])
+                for mode, bound in zip(context.modes,
+                                       context.bound_individuals())]
+            return True
+        return self.context is context and self.key == key
+
+    def _gather(self, rows_of, name_key) -> Dict[tuple, List[StateSet]]:
+        """Per-mode state sets per row key, one slot per mode."""
+        count = len(self.extractors)
+        rows: Dict[tuple, List[StateSet]] = {}
+        for idx, extractor in enumerate(self.extractors):
+            for key, states in rows_of(extractor).items():
+                bucket = rows.setdefault(name_key(key), [EMPTY] * count)
+                bucket[idx] = bucket[idx] | states
+        return rows
+
+    def endpoint_rows(self) -> Dict[Tuple[str, str, str], List[StateSet]]:
+        if self._pass1 is None:
+            name = self.context.graph.name
+            self._pass1 = self._gather(
+                lambda ex: ex.endpoint_relationships(),
+                lambda k: (name(k[0]), k[1], k[2]))
+        return self._pass1
+
+    def pair_rows(self, endpoints: FrozenSet[str]
+                  ) -> Dict[Tuple[str, str, str, str], List[StateSet]]:
+        rows = self._pass2.get(endpoints)
+        if rows is None:
+            graph = self.context.graph
+            ep_nodes = {graph.node(name) for name in endpoints}
+            rows = self._pass2[endpoints] = self._gather(
+                lambda ex: ex.pair_relationships(ep_nodes),
+                lambda k: (graph.name(k[0]), graph.name(k[1]), k[2], k[3]))
+        return rows
+
+    def through_rows(self, sp: int, ep: int, chain: Tuple[int, ...],
+                     edge_filter: Optional[str] = None
+                     ) -> Dict[Tuple[str, str], List[StateSet]]:
+        memo_key = (sp, ep, chain, edge_filter)
+        rows = self._pass3.get(memo_key)
+        if rows is None:
+            rows = self._pass3[memo_key] = self._gather(
+                lambda ex: ex.through_states(sp, ep, chain,
+                                             edge_filter=edge_filter),
+                lambda k: k)
+        return rows
+
+
 class ThreePassRefiner:
-    """Drives the 3-pass comparison and fix loop for one merge context."""
+    """Drives the 3-pass comparison and fix loop for one merge context.
+
+    ``individual_rows`` shares the individual side with other refiners
+    of the same group (see :class:`IndividualRows`); a value that does
+    not serve ``context`` is replaced by fresh rows, so passing none, or
+    a stale one, only costs the extraction.
+    """
 
     def __init__(self, context: MergeContext, max_iterations: int = 8,
                  max_chain_depth: int = 48, apply_fixes: bool = True,
-                 budget: Optional[WatchdogBudget] = None):
+                 budget: Optional[WatchdogBudget] = None,
+                 individual_rows: Optional[IndividualRows] = None):
         self.context = context
         self.graph = context.graph
         self.max_iterations = max_iterations
@@ -268,69 +371,11 @@ class ThreePassRefiner:
         #: mode): mismatches become residuals instead of fix constraints.
         self.apply_fixes = apply_fixes
         self.outcome = ThreePassOutcome()
-        self._clock_maps = [
-            context.clock_maps[mode.name] for mode in context.modes]
-        # Individual-mode extractors walk the *merged* structure so their
-        # rows align path-for-path with the merged mode's rows (paths the
-        # merged mode has but a mode kills contribute FALSE — see
-        # repro.timing.relationships).  The structure's liveness and clock
-        # network are fixed before the 3-pass starts (only path exceptions
-        # are added by fixes), so one structure bound serves every
-        # iteration.
-        self._structure = context.bind_merged()
-        self._ind_extractors = [
-            RelationshipExtractor(bound, structure=self._structure,
-                                  clock_map=mapping)
-            for bound, mapping in zip(context.bound_individuals(),
-                                      self._clock_maps)
-        ]
-        self._ind_pass1: Optional[Dict] = None
-        self._ind_pass2_cache: Dict[FrozenSet[str], Dict] = {}
-
-    # ------------------------------------------------------------------
-    # individual-mode row computation (keys in merged clock names)
-    # ------------------------------------------------------------------
-    def _ind_endpoint_rows(self) -> Dict[Tuple[str, str, str], List[StateSet]]:
-        if self._ind_pass1 is not None:
-            return self._ind_pass1
-        count = len(self._ind_extractors)
-        rows: Dict[Tuple[str, str, str], List[StateSet]] = {}
-        for idx, extractor in enumerate(self._ind_extractors):
-            for (ep, lc, cc), states in \
-                    extractor.endpoint_relationships().items():
-                key = (self.graph.name(ep), lc, cc)
-                bucket = rows.setdefault(key, [EMPTY] * count)
-                bucket[idx] = bucket[idx] | states
-        self._ind_pass1 = rows
-        return rows
-
-    def _ind_pair_rows(self, endpoints: FrozenSet[str]
-                       ) -> Dict[Tuple[str, str, str, str], List[StateSet]]:
-        cached = self._ind_pass2_cache.get(endpoints)
-        if cached is not None:
-            return cached
-        count = len(self._ind_extractors)
-        ep_nodes = {self.graph.node(name) for name in endpoints}
-        rows: Dict[Tuple[str, str, str, str], List[StateSet]] = {}
-        for idx, extractor in enumerate(self._ind_extractors):
-            for (sp, ep, lc, cc), states in \
-                    extractor.pair_relationships(ep_nodes).items():
-                key = (self.graph.name(sp), self.graph.name(ep), lc, cc)
-                bucket = rows.setdefault(key, [EMPTY] * count)
-                bucket[idx] = bucket[idx] | states
-        self._ind_pass2_cache[endpoints] = rows
-        return rows
-
-    def _ind_through_rows(self, sp: int, ep: int, chain: Sequence[int]
-                          ) -> Dict[Tuple[str, str], List[StateSet]]:
-        count = len(self._ind_extractors)
-        rows: Dict[Tuple[str, str], List[StateSet]] = {}
-        for idx, extractor in enumerate(self._ind_extractors):
-            for (lc, cc), states in \
-                    extractor.through_states(sp, ep, chain).items():
-                bucket = rows.setdefault((lc, cc), [EMPTY] * count)
-                bucket[idx] = bucket[idx] | states
-        return rows
+        rows = individual_rows
+        if rows is None or not rows.align(context):
+            rows = IndividualRows()
+            rows.align(context)
+        self.rows = rows
 
     # ------------------------------------------------------------------
     # fix validation
@@ -385,7 +430,7 @@ class ThreePassRefiner:
         intersected or constant-everywhere); this check protects the
         equivalence audit of arbitrary candidate modes.
         """
-        structure = self._structure
+        structure = self.rows.structure
         graph = self.graph
         for mode, bound in zip(self.context.modes,
                                self.context.bound_individuals()):
@@ -418,10 +463,10 @@ class ThreePassRefiner:
         merged_ex = RelationshipExtractor(merged_bound)
 
         # ---------------- pass 1 ----------------
-        mode_count = len(self._ind_extractors)
+        mode_count = len(self.rows.extractors)
         ambiguous_pass2: List[Tuple[str, str, str]] = []
         with tracer.span("three_pass:pass1") as span:
-            ind_rows = self._ind_endpoint_rows()
+            ind_rows = self.rows.endpoint_rows()
             merged_rows: Dict[Tuple[str, str, str], StateSet] = {}
             for (ep, lc, cc), states in \
                     merged_ex.endpoint_relationships().items():
@@ -462,7 +507,7 @@ class ThreePassRefiner:
         with tracer.span("three_pass:pass2") as span:
             endpoints = frozenset(key[0] for key in ambiguous_pass2)
             ambiguous_keys = set(ambiguous_pass2)
-            ind_pairs = self._ind_pair_rows(endpoints)
+            ind_pairs = self.rows.pair_rows(endpoints)
             merged_pairs: Dict[Tuple[str, str, str, str], StateSet] = {}
             ep_nodes = {self.graph.node(name) for name in endpoints}
             for (sp, ep, lc, cc), states in \
@@ -608,10 +653,10 @@ class ThreePassRefiner:
                 self.outcome.residuals.append(
                     f"chain depth limit between {sp_name} and {ep_name}")
                 continue
-            ind_rows = self._ind_through_rows(sp, ep, chain)
+            ind_rows = self.rows.through_rows(sp, ep, chain)
             merged_rows = merged_ex.through_states(sp, ep, chain)
             per_mode = ind_rows.get((lc, cc),
-                                    [EMPTY] * len(self._ind_extractors))
+                                    [EMPTY] * len(self.rows.extractors))
             merged = merged_rows.get((lc, cc), EMPTY)
             verdict = classify(per_mode, merged)
             if collect and chain:
@@ -658,11 +703,8 @@ class ThreePassRefiner:
         resolved = True
         for edge, (rise_flag, fall_flag) in (("r", (True, False)),
                                              ("f", (False, True))):
-            per_mode = [EMPTY] * len(self._ind_extractors)
-            for idx, extractor in enumerate(self._ind_extractors):
-                rows = extractor.through_states(sp, ep, chain,
-                                                edge_filter=edge)
-                per_mode[idx] = per_mode[idx] | rows.get((lc, cc), EMPTY)
+            per_mode = self.rows.through_rows(sp, ep, chain, edge).get(
+                (lc, cc), [EMPTY] * len(self.rows.extractors))
             merged_rows = merged_ex.through_states(sp, ep, chain,
                                                    edge_filter=edge)
             merged = merged_rows.get((lc, cc), EMPTY)
@@ -753,11 +795,13 @@ class ThreePassRefiner:
 
 
 def run_three_pass(context: MergeContext, max_iterations: int = 8,
-                   budget: Optional[WatchdogBudget] = None
+                   budget: Optional[WatchdogBudget] = None, *,
+                   individual_rows: Optional[IndividualRows] = None
                    ) -> Tuple[StepReport, ThreePassOutcome]:
     report = context.report("3-pass refinement (3.2b)")
     refiner = ThreePassRefiner(context, max_iterations=max_iterations,
-                               budget=budget)
+                               budget=budget,
+                               individual_rows=individual_rows)
     outcome = refiner.run()
     for constraint in outcome.added:
         report.added.append(constraint)

@@ -22,7 +22,8 @@ with:
   where no pool pathology can touch it (``EXE004``);
 * **graceful degradation** — too many crashes, a failed fork, or a
   platform without the ``fork`` start method degrade the whole batch to
-  serial in-process execution instead of failing it (``EXE005``);
+  serial in-process execution instead of failing it (``EXE005``); a
+  task moved off the pool keeps the last-resort rerun;
 * **deterministic result ordering** — outcomes are emitted strictly in
   submission order regardless of completion order, so a parallel run is
   byte-identical to a serial one.
@@ -420,8 +421,15 @@ class Supervisor:
         self._finish(st, ok=True, value=value, in_process=True)
         return None
 
-    def _run_task_in_process(self, st: "_TaskState") -> None:
-        """Serial execution of one task with the full retry ladder."""
+    def _run_task_in_process(self, st: "_TaskState",
+                             last_resort: bool = False) -> None:
+        """Serial execution of one task with the full retry ladder.
+
+        ``last_resort`` (a task moved off a degraded pool) ends an
+        exhausted ladder in :meth:`_final_in_process`, as a task that
+        ran out of pooled attempts does, so one chaos schedule gives
+        one outcome whichever way the pool's completion order sends it.
+        """
         while True:
             self._acquire_slot()
             try:
@@ -433,7 +441,10 @@ class Supervisor:
             if fault is None:
                 return
             if st.attempt >= self.config.max_attempts:
-                self._fail(st, fault, in_process=True)
+                if last_resort and self.config.final_in_process:
+                    self._final_in_process(st, fault)
+                else:
+                    self._fail(st, fault, in_process=True)
                 return
             self._record_fault(st, fault)
             self._wait(self._backoff(st.key, st.attempt))
@@ -441,10 +452,10 @@ class Supervisor:
 
     def _final_in_process(self, st: "_TaskState",
                           last_fault: Tuple[str, str]) -> None:
-        """Last resort: one serial rerun after pooled attempts ran out."""
+        """Last resort: one serial rerun after the attempts ran out."""
         self.collector.report(
             "EXE004",
-            f"task {st.key!r} exhausted its {st.attempt} pooled "
+            f"task {st.key!r} exhausted its {st.attempt} "
             f"attempt(s); re-running serially in-process",
             severity=Severity.INFO, source=st.key)
         get_metrics().inc("exec.in_process_reruns")
@@ -696,12 +707,7 @@ class Supervisor:
             self._ensure_initialized()
             for st in leftovers:
                 if self._outcomes[st.index] is None:
-                    self._run_task_in_process(st)
-            # Tasks never reached by the loop above (still unfinished).
-            for st in sorted(set(queue) | set(inflight.values()),
-                             key=lambda s: s.index):
-                if self._outcomes[st.index] is None:
-                    self._run_task_in_process(st)
+                    self._run_task_in_process(st, last_resort=True)
 
     # ------------------------------------------------------------------
     # shared bookkeeping

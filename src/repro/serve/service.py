@@ -155,9 +155,14 @@ class ServeChaos:
             # strike points; at service strike points they are inert.
             self.counts[key] = attempt
             return
+        try:
+            self.journal.append("chaos", key=key, attempt=attempt,
+                                kind=fault.kind)
+        except JournalError:
+            # Unarmed, the fault must not fire (a crash would re-fire
+            # after the restart), and it stays due at the next strike.
+            return
         self.counts[key] = attempt
-        self.journal.append("chaos", key=key, attempt=attempt,
-                            kind=fault.kind)
         get_blackbox().record("chaos", fault=fault.kind, key=key,
                               attempt=attempt)
         if fault.kind == "crash":
@@ -461,7 +466,7 @@ class MergeService:
             try:
                 try:
                     self.chaos.strike("serve:admit")
-                except (OSError, JournalError) as exc:
+                except OSError as exc:
                     self._fail_or_retry(job, exc)
                     continue
                 self._run_job(job)
@@ -557,9 +562,15 @@ class MergeService:
         self._finish_metrics(job, "serve.jobs_failed")
 
     def _fail_or_retry(self, job: Job, exc: BaseException) -> None:
-        """Entry for faults before the attempt loop (admit strike)."""
+        """Entry for faults before the attempt loop (admit strike).
+
+        The fault is the job's failed attempt: ``start`` moves it out of
+        ``admitted``, from where the ladder's ``retry`` and ``fail`` are
+        legal transitions.
+        """
         stop = _StopSignal(self._stop, job.cancel_event)
         job.attempts += 1
+        self._journal_progress("start", job, attempt=job.attempts)
         if self._retryable(job) and self._backoff(job, stop):
             self._run_job(job)
         elif not job.terminal:

@@ -15,6 +15,7 @@ import hashlib
 import json
 import os
 import tempfile
+import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -180,6 +181,9 @@ class RecordLog:
         #: the file ends on a record boundary after a header: appends
         #: add to it.  Until then an append starts the file over.
         self.started = False
+        #: serializes appends of the threads sharing this log, so a
+        #: failed append cuts back only its own bytes
+        self._lock = threading.Lock()
 
     def _parse(self, line: bytes, header: bool = False) -> Optional[dict]:
         try:
@@ -229,23 +233,36 @@ class RecordLog:
     def append(self, records: Sequence[dict]) -> None:
         """Durably add ``records``, stamping each one's ``crc`` in place.
 
-        The lines are written, flushed and ``fsync``'d before this
-        returns.  A log not yet started is written whole instead, header
+        The lines are written and ``fsync``'d before this returns; when
+        that fails the file is cut back to its size before the append
+        and the error re-raised, so a record the caller saw fail never
+        replays.  A log not yet started is written whole instead, header
         first, with :func:`atomic_write`.
         """
         for record in records:
             record["crc"] = record_crc(record)
         data = "".join(json.dumps(record, sort_keys=True) + "\n"
                        for record in records)
-        if not self.started:
-            atomic_write(self.path,
-                         json.dumps(self.header, sort_keys=True) + "\n" + data)
-            self.started = True
-        elif data:
-            with open(self.path, "a", encoding="utf-8") as handle:
-                handle.write(data)
-                handle.flush()
-                os.fsync(handle.fileno())
+        with self._lock:
+            if not self.started:
+                atomic_write(self.path, json.dumps(
+                    self.header, sort_keys=True) + "\n" + data)
+                self.started = True
+            elif data:
+                fd = os.open(self.path,
+                             os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
+                try:
+                    size = os.fstat(fd).st_size
+                    try:
+                        view = memoryview(data.encode("utf-8"))
+                        while view:
+                            view = view[os.write(fd, view):]
+                        os.fsync(fd)
+                    except OSError:
+                        os.ftruncate(fd, size)
+                        raise
+                finally:
+                    os.close(fd)
 
 
 # ---------------------------------------------------------------------------

@@ -101,11 +101,11 @@ class TestPathologicalRefinement:
 
         real = merger.run_three_pass
 
-        def pathological(context, max_iterations=8, budget=None):
+        def pathological(context, max_iterations=8, budget=None, **kwargs):
             if budget is not None and len(context.modes) > 1:
                 while True:  # "converges" only when the watchdog fires
                     budget.tick_pass("three_pass")
-            return real(context, max_iterations, budget)
+            return real(context, max_iterations, budget, **kwargs)
 
         monkeypatch.setattr("repro.core.merger.run_three_pass", pathological)
 

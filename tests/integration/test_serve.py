@@ -9,6 +9,7 @@ import urllib.request
 import pytest
 
 from repro.errors import AdmissionError
+from repro.exec.chaos import ChaosFault, ChaosPlan
 from repro.sdc import write_mode
 from repro.serve.api import build_server
 from repro.serve.journal import JobJournal
@@ -90,6 +91,43 @@ class TestConcurrentJobs:
         assert torn == 0
         jobs = replay(records, root, strict=True)
         assert jobs[submitted["id"]].state == "done"
+
+
+class TestAdmitFault:
+    def test_admit_fault_retries_through_legal_transitions(
+            self, tmp_path, workload, reference):
+        # One storage fault right after a runner claims the job: the
+        # attempt fails before it starts, and the job must retry
+        # through legal journal transitions instead of wedging.
+        root = tmp_path / "root"
+        plan = ChaosPlan([ChaosFault(kind="corrupt", pattern="serve:admit")])
+        service = MergeService(root, ServeConfig(runners=1, jobs=1),
+                               chaos=plan)
+        service.start()
+        try:
+            submitted = service.submit(payload_for(workload))
+            status = wait_terminal(service, submitted["id"], timeout=60.0)
+        finally:
+            service.drain()
+        assert status["state"] == "done", status["error"]
+        codes = [d.code for d in service.collector.diagnostics]
+        assert "GEN000" not in codes
+        assert "SRV008" in codes
+        base = service.artifact_path(submitted["id"],
+                                     "merge_report.json").parent
+        for name, want in reference.items():
+            assert (base / name).read_bytes() == want
+
+        from repro.serve.jobs import replay
+
+        records, torn = JobJournal(root / "journal.jsonl").recover()
+        assert torn == 0
+        jobs = replay(records, root, strict=True)
+        job = jobs[submitted["id"]]
+        assert job.state == "done" and not job.anomalies
+        events = [r["event"] for r in records
+                  if r.get("job") == submitted["id"]]
+        assert events[:5] == ["submit", "admit", "start", "retry", "start"]
 
 
 class TestAdmission:

@@ -265,6 +265,25 @@ class TestDegradation:
         assert "EXE005" in codes(collector)
         assert_no_children()
 
+    def test_degraded_task_keeps_the_last_resort_rerun(self):
+        # The first crash degrades the batch, so every task finishes its
+        # ladder in-process; like a task that exhausts its pooled
+        # attempts, it still gets the EXE004 rerun past the faults.
+        collector = DiagnosticCollector()
+        config = SupervisorConfig(
+            jobs=2, use_env_chaos=False, max_worker_crashes=0,
+            backoff_base=0.01,
+            chaos=ChaosPlan(faults=[
+                ChaosFault(kind="crash", pattern="task:*", attempt=a)
+                for a in (1, 2, 3)]))
+        outcomes = run_squares(config, collector, n=3)
+        assert [o.value for o in outcomes] == [0, 1, 4]
+        assert all(o.ok and o.in_process for o in outcomes)
+        assert "EXE005" in codes(collector)
+        assert codes(collector).count("EXE004") == 3
+        assert "EXE006" not in codes(collector)
+        assert_no_children()
+
     def test_worker_initializer_failure_degrades(self):
         collector = DiagnosticCollector()
         sup = Supervisor(SupervisorConfig(jobs=2, use_env_chaos=False),

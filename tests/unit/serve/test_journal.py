@@ -119,3 +119,50 @@ class TestJournalChaos:
         with pytest.raises(JournalError, match="chaos crash"):
             journal.append("admit", job="j1")
         journal.close()
+
+
+class TestFailedFsync:
+    def test_rejected_record_never_replays(self, path, monkeypatch):
+        import repro.store
+
+        journal = JobJournal(path)
+        journal.append("submit", job="ok1")
+        real_fsync = repro.store.os.fsync
+        calls = []
+
+        def fail_once(fd):
+            calls.append(fd)
+            if len(calls) == 1:
+                raise OSError("injected fsync failure")
+            return real_fsync(fd)
+
+        monkeypatch.setattr(repro.store.os, "fsync", fail_once)
+        with pytest.raises(JournalError, match="injected fsync failure"):
+            journal.append("submit", job="rejected")
+        journal.append("admit", job="ok1")
+        monkeypatch.setattr(repro.store.os, "fsync", real_fsync)
+
+        records, torn = JobJournal(path).recover()
+        assert torn == 0
+        assert [(r["job"], r["event"]) for r in records] == [
+            ("ok1", "submit"), ("ok1", "admit")]
+
+
+class TestChaosMarks:
+    def test_unarmed_strike_stays_due(self, path):
+        from repro.serve.service import ServeChaos
+
+        # The first chaos mark cannot be journaled: that strike must not
+        # fire (a crash would re-fire after its restart) nor count.
+        plan = ChaosPlan.from_spec(
+            "corrupt@serve:journal:chaos@1;corrupt@serve:ckpt@1")
+        chaos = ServeChaos(plan, JobJournal(path, chaos=plan))
+        chaos.strike("serve:ckpt")
+        assert chaos.counts == {}
+        with pytest.raises(OSError, match="chaos corrupt at serve:ckpt"):
+            chaos.strike("serve:ckpt")
+        assert chaos.counts == {"serve:ckpt": 1}
+        chaos.strike("serve:ckpt")  # one-shot: attempt 2 is clean
+        records, _ = JobJournal(path).recover()
+        assert [(r["event"], r["key"], r["attempt"]) for r in records] \
+            == [("chaos", "serve:ckpt", 1)]

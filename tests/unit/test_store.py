@@ -25,6 +25,7 @@ from pathlib import Path
 import pytest
 
 import repro
+import repro.store
 from repro.cache import ResultCache
 from repro.checkpoint import MergeCheckpoint
 from repro.diagnostics import DiagnosticCollector
@@ -284,6 +285,77 @@ class TestRecordLog:
         assert read.header is not None
         assert [r["n"] for r in read.records] == [1]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["log.jsonl"]
+
+
+class TestRecordLogFailedAppend:
+    def test_failed_fsync_leaves_no_record(self, tmp_path, monkeypatch):
+        path = tmp_path / "log.jsonl"
+        log = _written(path, [{"n": 1}])
+        size = path.stat().st_size
+
+        def broken(fd):
+            raise OSError(errno.EIO, "injected fsync failure")
+
+        monkeypatch.setattr(repro.store.os, "fsync", broken)
+        with pytest.raises(OSError, match="injected"):
+            log.append([{"n": 2}])
+        monkeypatch.undo()
+        assert path.stat().st_size == size
+        log.append([{"n": 3}])
+        assert [r["n"] for r in _log(path).read().records] == [1, 3]
+
+    def test_threads_lose_and_keep_exactly_their_own_records(
+            self, tmp_path, monkeypatch):
+        # Every third fsync fails while four threads append to one log:
+        # a failed append must cut back only its own bytes, so the file
+        # holds exactly the appends that returned.
+        path = tmp_path / "log.jsonl"
+        log = _written(path)
+        real_fsync = repro.store.os.fsync
+        calls = {"n": 0}
+        mutex = threading.Lock()
+
+        def flaky(fd):
+            with mutex:
+                calls["n"] += 1
+                fail = calls["n"] % 3 == 0
+            if fail:
+                raise OSError(errno.EIO, "injected fsync failure")
+            real_fsync(fd)
+
+        monkeypatch.setattr(repro.store.os, "fsync", flaky)
+        kept, lost = [], []
+
+        def worker(tid):
+            for n in range(60):
+                record = {"tid": tid, "n": n}
+                try:
+                    log.append([record])
+                except OSError:
+                    target = lost
+                else:
+                    target = kept
+                with mutex:
+                    target.append((tid, n))
+
+        threads = [threading.Thread(target=worker, args=(tid,))
+                   for tid in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        monkeypatch.undo()
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(kept) + len(lost) == 240 and lost
+        read = _log(path).read()
+        assert read.damage is None
+        assert sorted((r["tid"], r["n"]) for r in read.records) \
+            == sorted(kept)
 
 
 class TestGoldenFiles:
